@@ -41,10 +41,6 @@ def flatten_point(point: GradedPoint) -> tuple:
     return (m, *u)
 
 
-def unflatten_point(flat) -> GradedPoint:
-    return (flat[0], tuple(flat[1:]))
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Integer linear form (m, u) -> a0*m - sum(ai*ui) collapsing the order."""

@@ -141,6 +141,8 @@ class PrimeField:
         num = FpElement(numerator, self.p)
         if denominator == 1:
             return num
+        if denominator % self.p == 0:
+            raise ValidationError(f"denominator {denominator} is zero in F_{self.p}")
         return num / FpElement(denominator, self.p)
 
     @property

@@ -137,8 +137,29 @@ _JOB_KEYS = {
 }
 
 
+_INT_FIELDS = {"max_degree", "relation_degree", "cap_monomials", "cap_matrix", "restriction_index"}
+_OPTIONAL_INT_FIELDS = {"relation_degree", "restriction_index"}
+
+
+def _int_value(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list_value(key: str, value):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def jobspec_from_dict(raw: dict) -> JobSpec:
-    """Build a JobSpec from parsed structured text; unknown keys are rejected."""
+    """Build a JobSpec from parsed structured text; unknown keys are rejected.
+
+    Integer fields and the entries of generator and order lists must be
+    JSON integers (not booleans), and list fields must be lists, so a
+    malformed file is a validation error rather than a silent coercion.
+    """
     if not isinstance(raw, dict):
         raise ValidationError("job description must be a mapping")
     unknown = set(raw) - set(_JOB_KEYS)
@@ -150,15 +171,21 @@ def jobspec_from_dict(raw: dict) -> JobSpec:
             continue
         value = raw[key]
         if attr in {"variables", "sections", "subsystem"} and value is not None:
-            value = tuple(str(v) for v in value)
+            value = tuple(str(v) for v in _list_value(key, value))
         elif attr == "semigroup_generators" and value is not None:
-            value = tuple(tuple(int(c) for c in row) for row in value)
+            value = tuple(
+                tuple(_int_value(key, c) for c in _list_value(key, row))
+                for row in _list_value(key, value)
+            )
         elif attr == "orders" and value is not None:
-            value = tuple(int(c) for c in value)
+            value = tuple(_int_value(key, c) for c in _list_value(key, value))
         elif attr == "change_of_coordinates" and value is not None:
-            value = tuple(tuple(str(c) for c in row) for row in value)
-        elif attr in {"max_degree", "relation_degree", "cap_monomials", "cap_matrix", "restriction_index"}:
-            value = None if value is None else int(value)
+            value = tuple(
+                tuple(str(c) for c in _list_value(key, row))
+                for row in _list_value(key, value)
+            )
+        elif attr in _INT_FIELDS and not (value is None and attr in _OPTIONAL_INT_FIELDS):
+            value = _int_value(key, value)
         kwargs[attr] = value
     return JobSpec(**kwargs)
 

@@ -155,7 +155,7 @@ class Polynomial:
                 if v not in target:
                     raise ValidationError(f"variable {v} has no image and is not kept")
                 exp = tuple(1 if w == v else 0 for w in target)
-                images[i] = Polynomial.monomial(target, exp, _one_of_poly(self))
+                images[i] = Polynomial.monomial(target, exp, _one_like(self))
         total = Polynomial.zero(target)
         for exp, c in self.terms:
             term = Polynomial.constant(target, c)
@@ -218,10 +218,6 @@ def _one_like(p: Polynomial):
         c = p.terms[0][1]
         return c / c
     return Fraction(1)
-
-
-def _one_of_poly(p: Polynomial):
-    return _one_like(p)
 
 
 _TOKEN = re.compile(

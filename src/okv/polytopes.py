@@ -1,10 +1,14 @@
 """Exact rational polytopes: V-representation, H-representation, lattice points.
 
-Hulls are computed over the rationals with no floating point anywhere:
-the affine span is reduced first, vertices are filtered with an exact
-phase-one simplex, and facets are enumerated from vertex subsets, which
-stays cheap because the hulls of interest have few vertices.  Both
-representations are cross-validated on construction.
+Hulls are computed over the rationals with no floating point anywhere.
+The affine span is reduced first, so the hull is full-dimensional in span
+coordinates.  There one beneath–beyond pass builds it: start from a simplex
+on affinely independent input points, and for each further point delete the
+boundary simplices it sees and cone the horizon ridges to it.  Coplanar
+simplices merge into one facet by their primitive halfspace, and a point is
+a vertex when its tight facet normals have full rank.  Both representations
+are cross-validated on construction.  Lattice points are scanned with
+integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -44,11 +48,6 @@ class RationalPolytope:
         if len(point) != self.ambient_dim:
             raise ValidationError("point has wrong dimension")
         return all(_dot(n, point) <= c for n, c in self.halfspaces)
-
-    def scaled_contains(self, point, k: int) -> bool:
-        """Membership of an exact point in the k-fold dilation."""
-        point = tuple(Fraction(c) for c in point)
-        return all(_dot(n, point) <= k * c for n, c in self.halfspaces)
 
 
 def _dot(a, b):
@@ -154,16 +153,6 @@ def _span_coordinates(points, base, basis) -> list[tuple[Fraction, ...]]:
     return coords
 
 
-def _filter_vertices(coords: list[tuple]) -> list[int]:
-    """Indices of extreme points, by exact LP against the surviving set."""
-    candidates = list(range(len(coords)))
-    for idx in sorted(range(len(coords)), key=lambda i: coords[i]):
-        others = [coords[j] for j in candidates if j != idx]
-        if idx in candidates and in_convex_hull(coords[idx], others):
-            candidates.remove(idx)
-    return candidates
-
-
 def _primitive(normal, offset):
     """Clear denominators and divide by the gcd; orientation is preserved."""
     denoms = [v.denominator for v in normal] + [offset.denominator]
@@ -182,28 +171,65 @@ def _primitive(normal, offset):
     return tuple(ints), off
 
 
-def _facets_from_vertices(verts: list[tuple], k: int) -> list[Halfspace]:
-    """All facet halfspaces of a full-dimensional hull in dimension k."""
-    one = Fraction(1)
-    facets: dict = {}
-    for subset in itertools.combinations(range(len(verts)), k):
-        pts = [verts[i] for i in subset]
-        diffs = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
-        kernel = linalg.nullspace(diffs, k, one)
-        if len(kernel) != 1:
-            continue  # affinely degenerate subset, or not a hyperplane
-        normal = tuple(kernel[0])
-        offset = _dot(normal, pts[0])
-        side_low = all(_dot(normal, v) <= offset for v in verts)
-        side_high = all(_dot(normal, v) >= offset for v in verts)
-        if side_low and not side_high:
-            key = _primitive(normal, offset)
-        elif side_high and not side_low:
-            key = _primitive(tuple(-c for c in normal), -offset)
-        else:
-            continue  # not supporting, or all vertices on it (degenerate hull)
-        facets[key] = True
-    return sorted(facets)
+def _affine_rank(points) -> int:
+    """Dimension of the affine span of a non-empty point list."""
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return linalg.rank(diffs, len(points[0]))
+
+
+def _oriented_plane(coords, face, inside, k):
+    """Hyperplane through the k points `face`, with `inside` strictly below.
+
+    `inside` is k+1 times the centroid of the starting simplex, an interior
+    point of every hull the pass builds.
+    """
+    pts = [coords[i] for i in face]
+    diffs = [[a - b for a, b in zip(q, pts[0])] for q in pts[1:]]
+    normal = linalg.nullspace(diffs, k, Fraction(1))[0]
+    offset = _dot(normal, pts[0])
+    if _dot(normal, inside) > (k + 1) * offset:
+        return [-v for v in normal], -offset
+    return normal, offset
+
+
+def _beneath_beyond(coords: list[tuple], k: int) -> tuple[list[int], list[Halfspace]]:
+    """Vertex indices and primitive facets of the hull of points spanning Q^k.
+
+    The boundary is kept as simplices, each a sorted tuple of k point
+    indices.  A point sees a simplex when it lies strictly beyond its
+    hyperplane; a point on or beneath every hyperplane lies in the hull.
+    """
+    simplex = [0]
+    for i in range(1, len(coords)):
+        if len(simplex) == k + 1:
+            break
+        if _affine_rank([coords[j] for j in simplex] + [coords[i]]) == len(simplex):
+            simplex.append(i)
+    inside = [sum(coords[i][t] for i in simplex) for t in range(k)]
+    boundary = {}
+    for skip in simplex:
+        face = tuple(i for i in simplex if i != skip)
+        boundary[face] = _oriented_plane(coords, face, inside, k)
+    for idx, p in enumerate(coords):
+        if idx in simplex:
+            continue
+        visible = [f for f, (n, c) in boundary.items() if _dot(n, p) > c]
+        horizon: set = set()
+        for face in visible:
+            del boundary[face]
+            for j in range(k):
+                horizon ^= {face[:j] + face[j + 1:]}
+        for ridge in horizon:
+            face = tuple(sorted(ridge + (idx,)))
+            boundary[face] = _oriented_plane(coords, face, inside, k)
+    facets = sorted({_primitive(n, c) for n, c in boundary.values()})
+    normals = [([Fraction(v) for v in n], c) for n, c in facets]  # rref divides
+    vertex_ids = []
+    for idx in sorted({i for face in boundary for i in face}):
+        tight = [n for n, c in normals if _dot(n, coords[idx]) == c]
+        if linalg.rank(tight, k) == k:
+            vertex_ids.append(idx)
+    return vertex_ids, facets
 
 
 def _lift_halfspaces(span_halfspaces, base, basis, ambient_dim):
@@ -250,8 +276,7 @@ def convex_hull(points) -> RationalPolytope:
         vertex_ids = [0]
         span_facets: list[Halfspace] = []
     else:
-        vertex_ids = _filter_vertices(coords)
-        span_facets = _facets_from_vertices([coords[i] for i in vertex_ids], k)
+        vertex_ids, span_facets = _beneath_beyond(coords, k)
     halfspaces = _lift_halfspaces(span_facets, base, basis, ambient_dim)
     vertices = tuple(sorted(pts[i] for i in vertex_ids))
     poly = RationalPolytope(ambient_dim, vertices, tuple(halfspaces), k)
@@ -270,6 +295,13 @@ def _validate(poly: RationalPolytope) -> None:
                 tight += 1
         if tight < poly.affine_dim:
             raise InvariantError("vertex tight on too few halfspaces")
+    present = set(poly.halfspaces)
+    for n, c in poly.halfspaces:
+        if (tuple(-a for a in n), -c) in present:
+            continue  # an equality: with no vertex violating, tight on every vertex
+        tight = [v for v in poly.vertices if _dot(n, v) == c]
+        if not tight or _affine_rank(tight) != poly.affine_dim - 1:
+            raise InvariantError("halfspace not tight on a facet")
 
 
 def polytope_from_halfspaces(halfspaces, ambient_dim: int) -> RationalPolytope:
@@ -302,21 +334,37 @@ def polytope_from_halfspaces(halfspaces, ambient_dim: int) -> RationalPolytope:
 
 
 def lattice_points(poly: RationalPolytope, dilation: int = 1) -> set:
-    """All integer points of the dilated polytope, by bounding-box scan.
+    """All integer points of the dilated polytope, in integer arithmetic.
 
-    Cost is proportional to the volume of the bounding box.
+    An integer point x lies in the dilation exactly when <n, x> <=
+    floor(dilation * c) for every halfspace, since the normals are integer.
+    The scan runs over the bounding box of the first d-1 coordinates, and
+    the halfspaces give the range of the last coordinate directly.
     """
     if dilation < 1:
         raise ValidationError("dilation factor must be at least 1")
     if poly.is_empty:
         return set()
-    lo = [min(v[i] for v in poly.vertices) * dilation for i in range(poly.ambient_dim)]
-    hi = [max(v[i] for v in poly.vertices) * dilation for i in range(poly.ambient_dim)]
-    ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]
+    bounds = [(n, floor(dilation * c)) for n, c in poly.halfspaces]
+    d = poly.ambient_dim
+    if d == 0:
+        return {()} if all(b >= 0 for _, b in bounds) else set()
+    lo = [ceil(min(v[i] for v in poly.vertices) * dilation) for i in range(d)]
+    hi = [floor(max(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     found = set()
-    for candidate in itertools.product(*ranges):
-        if poly.scaled_contains(candidate, dilation):
-            found.add(candidate)
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        low, high = lo[-1], hi[-1]
+        for n, b in bounds:
+            slack = b - _dot(n, prefix)
+            a = n[-1]
+            if a > 0:
+                high = min(high, slack // a)
+            elif a < 0:
+                low = max(low, -(slack // -a))
+            elif slack < 0:
+                high = low - 1
+                break
+        found.update(prefix + (x,) for x in range(low, high + 1))
     return found
 
 

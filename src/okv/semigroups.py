@@ -19,12 +19,6 @@ from .valuation import FlagSpec, nu_image
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 
 
-def modified_order_key(point: GradedPoint):
-    """Sort key realizing the modified order (degree up, value lex down)."""
-    m, u = point
-    return (m,) + tuple(-c for c in u)
-
-
 @dataclass(frozen=True)
 class GradedSemigroup:
     """Degree-indexed value sets, complete up to the truncation degree."""
@@ -78,18 +72,6 @@ def build_gamma(
             power = product_space(power, space, cap_monomials=cap_monomials)
         slices.append(frozenset(nu_image(power, flag)))
     return GradedSemigroup(d, max_degree, tuple(slices))
-
-
-def power_spaces(
-    space: SectionSpace,
-    max_degree: int,
-    cap_monomials: int = DEFAULT_MONOMIAL_CAP,
-) -> list[SectionSpace]:
-    """The list [V^1, ..., V^max_degree] of reduced power spaces."""
-    powers = [space]
-    for _ in range(2, max_degree + 1):
-        powers.append(product_space(powers[-1], space, cap_monomials=cap_monomials))
-    return powers
 
 
 def gamma_from_generators(generators, max_degree: int, dim: int | None = None) -> GradedSemigroup:
@@ -166,11 +148,12 @@ def okounkov_body_estimate(semigroup: GradedSemigroup) -> RationalPolytope:
     """Hull of the degree-normalized slices: an inner polytope approximation.
 
     Exact whenever the semigroup is generated in degrees up to the bound.
+    The hull is taken of the normalized minimal generators u/m only, which
+    gives the same polytope: if (m, u) = (a, v) + (m - a, w) then
+    u/m = (a/m) * v/a + ((m - a)/m) * w/(m - a), so by induction on m every
+    normalized slice point is a convex combination of normalized generators.
     """
-    points = []
-    for m in range(1, semigroup.max_degree + 1):
-        for u in semigroup.slice(m):
-            points.append(tuple(Fraction(c, m) for c in u))
+    points = [tuple(Fraction(c, m) for c in u) for m, u in minimal_generators(semigroup)]
     if not points:
         raise ValidationError("no positive-degree points to take a hull of")
     return convex_hull(points)

@@ -112,9 +112,10 @@ def reduce_to_basis(
                         merged[e] = s
                     else:
                         merged.pop(e, None)
+                stored_terms += len(merged) - len(row)
                 rows[pivot] = merged
         rows[lead] = work
-        stored_terms = sum(len(r) for r in rows.values())
+        stored_terms += len(work)
         if stored_terms > cap_monomials:
             raise ResourceCapError(
                 f"monomial cap exceeded while reducing: {stored_terms} > {cap_monomials}"

@@ -257,3 +257,46 @@ def test_relation_degree_flag_overrides_fixture(capsys):
     result = json.loads(out)["result"]
     assert result["relation_degree"] == 4
     assert [r["degree"] for r in result["flatness"]["rows"]] == [0, 1, 2, 3, 4]
+
+
+def run_job_file(tmp_path, capsys, job, command="nu"):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(json.dumps(job), encoding="utf-8")
+    return run_main(capsys, command, "--input", str(jobfile))
+
+
+def assert_validation_exit(code, out, err):
+    assert code == 1 and not out
+    assert any(line.startswith("error: validation:") for line in err.splitlines())
+
+
+def test_string_max_degree_exits_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": ["x"], "max_degree": "abc"}
+    assert_validation_exit(*run_job_file(tmp_path, capsys, job))
+
+
+def test_boolean_max_degree_exits_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": ["x"], "max_degree": True}
+    assert_validation_exit(*run_job_file(tmp_path, capsys, job))
+
+
+def test_bare_string_sections_exit_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": "x+1", "max_degree": 1}
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "sections must be a list" in err
+
+
+def test_non_integer_generator_entry_exits_one(tmp_path, capsys):
+    job = {"semigroup_generators": [[1, 0], [1, "a"]], "max_degree": 2}
+    assert_validation_exit(*run_job_file(tmp_path, capsys, job, "semigroup"))
+
+
+def test_zero_denominator_in_prime_field_exits_one(tmp_path, capsys):
+    job = {"field": {"Fp": 7}, "variables": ["x"], "sections": ["1/7*x"], "max_degree": 1}
+    assert_validation_exit(*run_job_file(tmp_path, capsys, job))
+
+
+def test_null_cap_exits_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": ["x"], "max_degree": 1, "cap_monomials": None}
+    assert_validation_exit(*run_job_file(tmp_path, capsys, job))

@@ -1,0 +1,151 @@
+"""Differential checks of the hull path.
+
+The body is built from normalized minimal generators and the hull by one
+beneath-beyond pass; both are compared here with slower references: the
+hull of every normalized slice point, the library's own LP membership test
+`in_convex_hull`, and the brute-force oracles of tests/oracles.py.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from okv.errors import InvariantError
+from okv.jobs import load_fixture
+from okv.polytopes import (
+    RationalPolytope,
+    _validate,
+    convex_hull,
+    in_convex_hull,
+    lattice_points,
+)
+from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
+
+from oracles import oracle_in_hull, oracle_lattice_points
+
+
+def all_slices_hull(semigroup):
+    points = [
+        tuple(Fraction(c, m) for c in u)
+        for m in range(1, semigroup.max_degree + 1)
+        for u in semigroup.slice(m)
+    ]
+    return convex_hull(points)
+
+
+def assert_same_polytope(a, b):
+    assert a.vertices == b.vertices
+    assert a.halfspaces == b.halfspaces
+    assert a.affine_dim == b.affine_dim
+
+
+@st.composite
+def generator_sets(draw):
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 5))
+    gens = [
+        (draw(st.integers(1, 3)), tuple(draw(st.integers(0, 4)) for _ in range(dim)))
+        for _ in range(count)
+    ]
+    return gens, dim, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_body_from_generators_equals_hull_of_all_slices(case):
+    gens, dim, max_degree = case
+    gamma = gamma_from_generators(gens, max_degree, dim)
+    if not any(gamma.slice(m) for m in range(1, max_degree + 1)):
+        return
+    assert_same_polytope(okounkov_body_estimate(gamma), all_slices_hull(gamma))
+
+
+@pytest.mark.parametrize(
+    "fixture,max_degree",
+    [
+        ("bott-samelson-u", 2),
+        ("bott-samelson-u", 3),
+        ("bott-samelson-m", 2),
+        ("counterexample-p1xp1", 2),
+        ("counterexample-p1xp1", 4),
+    ],
+)
+def test_section_fixture_body_equals_hull_of_all_slices(fixture, max_degree):
+    job = load_fixture(fixture, max_degree)
+    gamma = build_gamma(job.section_space(), job.flag(), max_degree)
+    assert_same_polytope(okounkov_body_estimate(gamma), all_slices_hull(gamma))
+
+
+def random_point_set(rng, dim):
+    """Small integer point sets with duplicates and, often, a flat span."""
+    flat = rng.randint(0, dim)
+    base = [rng.randint(-2, 2) for _ in range(dim)]
+    directions = [[rng.randint(-1, 2) for _ in range(dim)] for _ in range(flat)]
+    points = []
+    for _ in range(rng.randint(1, 9 - dim)):
+        if directions:
+            weights = [rng.randint(-2, 2) for _ in directions]
+            points.append(tuple(
+                b + sum(w * d[i] for w, d in zip(weights, directions))
+                for i, b in enumerate(base)
+            ))
+        else:
+            points.append(tuple(rng.randint(0, 2) for _ in range(dim)))
+    points += rng.sample(points, rng.randint(0, len(points)))
+    return points
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hull_vertices_and_membership_match_oracles(dim):
+    rng = random.Random(100 + dim)
+    for _ in range(12):
+        points = random_point_set(rng, dim)
+        distinct = sorted(set(points))
+        hull = convex_hull(points)
+        extreme = {
+            p for p in distinct if not in_convex_hull(p, [q for q in distinct if q != p])
+        }
+        assert set(hull.vertices) == extreme
+        for _ in range(6):
+            p = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(dim))
+            assert hull.contains(p) == oracle_in_hull(p, distinct)
+        for p in distinct:
+            assert hull.contains(p)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [()],
+        [(Fraction(1, 2), Fraction(3, 2))],
+        [(0, 0, 0), (Fraction(3, 2), Fraction(3, 2), 0)],
+        [(0, 0, 1), (Fraction(5, 3), 0, 1), (0, Fraction(4, 3), 1)],
+        [(0, 0), (Fraction(5, 2), 1), (1, Fraction(7, 3)), (Fraction(1, 2), 2)],
+        [(0,), (Fraction(7, 4),)],
+    ],
+)
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_lattice_points_match_oracle(points, dilation):
+    hull = convex_hull(points)
+    assert lattice_points(hull, dilation) == oracle_lattice_points(points, dilation)
+
+
+def test_validate_rejects_non_facet_halfspace():
+    square = convex_hull([(0, 0), (0, 1), (1, 0), (1, 1)])
+    corner_cut = ((1, 1), Fraction(2))  # supporting, but tight on one vertex only
+    widened = RationalPolytope(2, square.vertices, square.halfspaces + (corner_cut,), 2)
+    with pytest.raises(InvariantError):
+        _validate(widened)
+
+
+def test_validate_rejects_loose_equality():
+    segment = convex_hull([(0, 0), (1, 0)])
+    assert ((0, 1), 0) in segment.halfspaces and ((0, -1), 0) in segment.halfspaces
+    moved = tuple(
+        (n, Fraction(n[1])) if n[0] == 0 else (n, c) for n, c in segment.halfspaces
+    )  # the pair y <= 0, -y <= 0 becomes y = 1, which no vertex meets
+    with pytest.raises(InvariantError):
+        _validate(RationalPolytope(2, segment.vertices, moved, 1))
