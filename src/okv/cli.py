@@ -231,7 +231,10 @@ def _load_job(args) -> JobSpec:
     if getattr(args, "restriction_index", None) is not None:
         overrides["restriction_index"] = args.restriction_index
     if getattr(args, "orders", None):
-        overrides["orders"] = tuple(int(c) for c in args.orders.split(","))
+        try:
+            overrides["orders"] = tuple(int(c) for c in args.orders.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"--orders must be integers, got {args.orders!r}") from exc
     if getattr(args, "subsystem", None):
         overrides["subsystem"] = tuple(
             s.strip() for s in args.subsystem.split(";") if s.strip()

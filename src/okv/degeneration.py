@@ -2,11 +2,15 @@
 
 The flow is: pick generators of the graded value semigroup and lift them to
 sections; compute the kernel of the induced polynomial presentation degree
-by degree with exact linear algebra; collapse the modified order on the
-finitely many degrees that occur to a single integer weighting; homogenize
-each relation into a one-parameter family interpolating between the
-relation and its initial form; certify flatness by matching three Hilbert
-functions degreewise.
+by degree with the sparse exact echelon engine (`okv.echelon`), whose
+columns are read straight off the evaluated label monomials; collapse the
+modified order on the finitely many degrees that occur to a single integer
+weighting; homogenize each relation into a one-parameter family
+interpolating between the relation and its initial form; certify flatness
+by matching three Hilbert functions degreewise, the generic one taken from
+the kernel dimensions of the relation pass.  Every matrix cap is checked
+before the step it bounds: the number of relation multiples in a degree
+follows from monomial counts, before any monomial of it is evaluated.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvariantError, ResourceCapError, ValidationError
-from . import linalg
+from . import echelon
 from .fields import QQ
 from .polynomials import Polynomial, polynomial_field
 from .semigroups import (
@@ -217,8 +221,12 @@ class Relation:
 
 @dataclass(frozen=True)
 class RelationSet:
+    """Relations up to a truncation degree; `kernel_dims[d]` is the dimension
+    of the whole degree-d kernel, multiples of lower relations included."""
+
     relations: tuple[Relation, ...]
     truncation_degree: int
+    kernel_dims: tuple[int, ...] = ()
 
 
 def _label_monomials(grades: tuple[int, ...], total: int) -> list[tuple]:
@@ -249,55 +257,53 @@ def _monomial_value(presentation: Presentation, a: tuple) -> tuple:
     return tuple(total)
 
 
-def _monomial_key(presentation: Presentation, a: tuple) -> tuple:
-    return (_monomial_value(presentation, a), a)
+def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, dict]:
+    """Label monomials of a degree, ordered by (value, exponent), and their index."""
+    monomials = sorted(
+        _label_monomials(presentation.grades, degree),
+        key=lambda a: (_monomial_value(presentation, a), a),
+    )
+    return monomials, {a: j for j, a in enumerate(monomials)}
 
 
 class _Evaluator:
     """Memoized evaluation of label monomials in the polynomial model."""
 
     def __init__(self, presentation: Presentation):
-        self.presentation = presentation
-        one = presentation.field.one
-        self.cache = {
-            (0,) * presentation.size: Polynomial.constant(presentation.model_variables, one)
-        }
+        self.lifts = [g.lift for g in presentation.generators]
+        one = Polynomial.constant(presentation.model_variables, presentation.field.one)
+        self.cache = {(0,) * presentation.size: one}
 
     def __call__(self, a: tuple) -> Polynomial:
-        hit = self.cache.get(a)
-        if hit is not None:
-            return hit
-        i = next(j for j, c in enumerate(a) if c)
-        previous = a[:i] + (a[i] - 1,) + a[i + 1 :]
-        value = self(previous) * self.presentation.generators[i].lift
-        self.cache[a] = value
-        return value
+        if a not in self.cache:
+            i = next(j for j, c in enumerate(a) if c)
+            self.cache[a] = self(a[:i] + (a[i] - 1,) + a[i + 1 :]) * self.lifts[i]
+        return self.cache[a]
 
 
-def _matrix_rows(evaluations, field):
-    columns = sorted({exp for p in evaluations for exp, _ in p.terms})
-    index = {exp: j for j, exp in enumerate(columns)}
-    zero = field.zero
-    rows = []
-    for p in evaluations:
-        row = [zero] * len(columns)
-        for exp, c in p.terms:
-            row[index[exp]] = c
-        rows.append(row)
-    return rows, len(columns)
+def _check_cap(rows: int, cols: int, cap: int, where: str) -> None:
+    if rows * cols > cap:
+        raise ResourceCapError(f"matrix cap exceeded {where}: {rows}x{cols} > {cap}")
 
 
-def _vector_to_polynomial(vector, monomials, labels) -> Polynomial:
-    coeffs = {a: c for a, c in zip(monomials, vector) if c}
-    return Polynomial.from_dict(labels, coeffs)
+def _multiples(relations, grades, degree: int) -> list[tuple]:
+    """(i, b) for every label monomial b lifting relations[i] to the degree."""
+    return [
+        (i, b)
+        for i, rel in enumerate(relations)
+        if rel.degree[0] <= degree
+        for b in _label_monomials(grades, degree - rel.degree[0])
+    ]
 
 
-def _polynomial_to_vector(poly: Polynomial, index: dict, zero) -> list:
-    row = [zero] * len(index)
+def _shifted_row(poly: Polynomial, b: tuple, mon_index: dict) -> dict:
+    """The sparse row, over monomial indices, of poly times the monomial b."""
+    row = {}
     for exp, c in poly.terms:
-        if exp not in index:
+        j = mon_index.get(tuple(x + y for x, y in zip(exp, b)))
+        if j is None:
             raise InvariantError("relation multiple leaves the expected degree")
-        row[index[exp]] = c
+        row[j] = c
     return row
 
 
@@ -308,11 +314,13 @@ def kernel_ideal_truncated(
 ) -> RelationSet:
     """Minimal generators of the kernel ideal up to the truncation degree.
 
-    In each degree the nullspace of the monomial evaluation matrix is
-    computed exactly, multiples of lower-degree relations are projected out,
-    and the survivors are put in reduced echelon form, so the output is
-    canonical.  Monomial columns are ordered by (value, exponent), which
-    places each relation's pivot inside its initial form.
+    In each degree the kernel of the monomial evaluation map, with columns
+    read straight off the evaluated polynomials, is computed exactly;
+    multiples of lower-degree relations are projected out, and the
+    survivors are put in reduced echelon form, so the output is canonical.
+    Monomial columns are ordered by (value, exponent), which places each
+    relation's pivot inside its initial form.  Every kernel dimension is
+    kept for the flatness check.
     """
     if relation_degree < 1:
         raise ValidationError("relation truncation degree must be at least 1")
@@ -320,50 +328,39 @@ def kernel_ideal_truncated(
     labels = presentation.labels
     evaluate = _Evaluator(presentation)
     relations: list[Relation] = []
+    leads: list[tuple] = []  # each relation's pivot monomial
+    kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
-        monomials = sorted(
-            _label_monomials(presentation.grades, degree),
-            key=lambda a: _monomial_key(presentation, a),
+        monomials, mon_index = _degree_monomials(presentation, degree)
+        multiples = _multiples(relations, presentation.grades, degree)
+        # The column order is a monomial order, so b * relation has pivot
+        # b + lead: multiples with distinct pivots are independent kernel
+        # elements, a lower bound on the kernel dimension known in advance.
+        least = len({tuple(x + y for x, y in zip(leads[i], b)) for i, b in multiples})
+        where = f"reducing degree-{degree} relations"
+        _check_cap(len(multiples) + least, len(monomials), matrix_cap, where)
+        columns: dict = {}
+        for j, a in enumerate(monomials):
+            for exp, c in evaluate(a).terms:
+                columns.setdefault(exp, {})[j] = c
+        _check_cap(len(monomials), len(columns), matrix_cap, f"in degree {degree}")
+        kernel = echelon.nullspace(
+            columns.values(), len(monomials), field.one, max_cells=matrix_cap
         )
-        if not monomials:
-            continue
-        evaluations = [evaluate(a) for a in monomials]
-        rows, ncols = _matrix_rows(evaluations, field)
-        if len(monomials) * max(ncols, 1) > matrix_cap:
-            raise ResourceCapError(
-                f"matrix cap exceeded in degree {degree}: "
-                f"{len(monomials)}x{ncols} > {matrix_cap}"
-            )
-        transpose = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-        kernel = linalg.nullspace(
-            transpose, len(monomials), field.one, max_cells=matrix_cap
-        )
-        if not kernel:
-            continue
-        mon_index = {a: j for j, a in enumerate(monomials)}
-        old_vectors = []
-        for rel in relations:
-            shift = degree - rel.degree[0]
-            for b in _label_monomials(presentation.grades, shift):
-                multiple = rel.poly * Polynomial.monomial(labels, b, field.one)
-                old_vectors.append(_polynomial_to_vector(multiple, mon_index, field.zero))
-        if (len(old_vectors) + len(kernel)) * len(monomials) > matrix_cap:
-            raise ResourceCapError(
-                f"matrix cap exceeded reducing degree-{degree} relations: "
-                f"{len(old_vectors) + len(kernel)}x{len(monomials)} > {matrix_cap}"
-            )
-        old_rref, old_pivots = linalg.rref(old_vectors, len(monomials))
-        fresh = []
+        kernel_dims.append(len(kernel))
+        _check_cap(len(multiples) + len(kernel), len(monomials), matrix_cap, where)
+        old = echelon.Echelon()
+        for i, b in multiples:
+            old.insert(_shifted_row(relations[i].poly, b, mon_index))
+        fresh = echelon.Echelon()
         for vec in kernel:
-            reduced = linalg.reduce_against(vec, old_rref, old_pivots)
-            if any(reduced):
-                fresh.append(reduced)
-        fresh, _ = linalg.rref(fresh, len(monomials))
-        for vec in fresh:
-            poly = _vector_to_polynomial(vec, monomials, labels)
-            value = min(_monomial_value(presentation, a) for a, _ in poly.terms)
-            relations.append(Relation(poly, (degree, value)))
-    return RelationSet(tuple(relations), relation_degree)
+            fresh.insert(old.reduce(vec))
+        for pivot in sorted(fresh.rows):
+            coeffs = {monomials[j]: c for j, c in fresh.rows[pivot].items()}
+            value = _monomial_value(presentation, monomials[pivot])
+            relations.append(Relation(Polynomial.from_dict(labels, coeffs), (degree, value)))
+            leads.append(monomials[pivot])
+    return RelationSet(tuple(relations), relation_degree, tuple(kernel_dims))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +405,7 @@ def rees_relations(
             coeffs[exp + (deficit,)] = c
         rees = Polynomial.from_dict(rees_vars, coeffs)
         enriched.append(replace(rel, initial=bar, weight=top, rees=rees))
-    return RelationSet(tuple(enriched), relation_set.truncation_degree)
+    return replace(relation_set, relations=tuple(enriched))
 
 
 def specialize_rees(relation: Relation, presentation: Presentation, tau) -> Polynomial:
@@ -485,6 +482,11 @@ def flatness_report(
 ) -> FlatnessReport:
     """Degreewise Hilbert comparison of the generic fiber, the special fiber,
     and the semigroup algebra, plus a binomial-shape check on the special fiber.
+
+    The generic fiber is not eliminated again: its degree-d dimension is the
+    number of label monomials less the kernel dimension the relation pass
+    recorded.  The special fiber is the echelon form of the initial-form
+    multiples.
     """
     if relation_set.truncation_degree < check_degree:
         raise ValidationError("relations were not computed far enough")
@@ -492,54 +494,29 @@ def flatness_report(
         raise ValidationError("semigroup was not built far enough")
     if any(rel.initial is None for rel in relation_set.relations):
         raise ValidationError("initial forms missing; run the homogenization first")
+    if len(relation_set.kernel_dims) <= check_degree:
+        raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     field = presentation.field
-    labels = presentation.labels
-    evaluate = _Evaluator(presentation)
     rows = []
     binomial = True
     for degree in range(0, check_degree + 1):
-        monomials = sorted(
-            _label_monomials(presentation.grades, degree),
-            key=lambda a: _monomial_key(presentation, a),
-        )
-        mon_index = {a: j for j, a in enumerate(monomials)}
-        evaluations = [evaluate(a) for a in monomials]
-        mat, ncols = _matrix_rows(evaluations, field)
-        if len(monomials) * max(ncols, 1) > matrix_cap:
-            raise ResourceCapError("matrix cap exceeded in the flatness check")
-        quotient_dim = len(linalg.rref(mat, ncols)[0])
-        initial_vectors = []
-        for rel in relation_set.relations:
-            shift = degree - rel.degree[0]
-            if shift < 0:
-                continue
-            for b in _label_monomials(presentation.grades, shift):
-                multiple = rel.initial * Polynomial.monomial(labels, b, field.one)
-                initial_vectors.append(
-                    _polynomial_to_vector(multiple, mon_index, field.zero)
-                )
-        if len(initial_vectors) * max(len(monomials), 1) > matrix_cap:
-            raise ResourceCapError("matrix cap exceeded in the flatness check")
-        initial_rref, _ = linalg.rref(initial_vectors, len(monomials))
-        for vec in initial_rref:
-            support = [(monomials[j], c) for j, c in enumerate(vec) if c]
-            two_term = (
-                len(support) == 2
-                and support[0][1] == field.one
-                and support[1][1] == -field.one
-                and _monomial_value(presentation, support[0][0])
-                == _monomial_value(presentation, support[1][0])
+        monomials, mon_index = _degree_monomials(presentation, degree)
+        multiples = _multiples(relation_set.relations, presentation.grades, degree)
+        _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
+        special = echelon.Echelon()
+        for i, b in multiples:
+            special.insert(_shifted_row(relation_set.relations[i].initial, b, mon_index))
+        for row in special.rows.values():  # every pivot coefficient is one
+            ends = sorted(row)
+            binomial = binomial and (
+                len(ends) == 2
+                and row[ends[1]] == -field.one
+                and _monomial_value(presentation, monomials[ends[0]])
+                == _monomial_value(presentation, monomials[ends[1]])
             )
-            if not two_term:
-                binomial = False
-        rows.append(
-            FlatnessRow(
-                degree,
-                quotient_dim,
-                len(monomials) - len(initial_rref),
-                len(gamma.slice(degree)),
-            )
-        )
+        generic = len(monomials) - relation_set.kernel_dims[degree]
+        initial = len(monomials) - len(special.rows)
+        rows.append(FlatnessRow(degree, generic, initial, len(gamma.slice(degree))))
     verdict = all(
         r.quotient_dim == r.initial_quotient_dim == r.semigroup_count for r in rows
     )

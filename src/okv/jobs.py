@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from .echelon import Echelon
 from .errors import ValidationError
 from .fields import QQ, PrimeField
 from .polynomials import Polynomial, parse_polynomial
@@ -84,8 +84,10 @@ class JobSpec:
                 len(r) != len(variables) for r in matrix_rows
             ):
                 raise ValidationError("coordinate change must be a square matrix")
-            numeric = [[fld(Fraction(c)) for c in row] for row in matrix_rows]
-            if len(linalg.rref(numeric, len(variables))[0]) != len(variables):
+            form = Echelon()
+            for row in matrix_rows:
+                form.insert({j: v for j, c in enumerate(row) if (v := fld(Fraction(c)))})
+            if len(form.rows) != len(variables):
                 raise ValidationError("coordinate change must be invertible")
             images = {
                 v: _linear_form(variables, row, fld)

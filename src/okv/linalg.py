@@ -1,36 +1,25 @@
-"""Dense exact linear algebra over a field (lists of field elements)."""
+"""Dense exact linear algebra over a field, for the small matrices of the
+hull code: list-of-rows adapters over the sparse engine in `okv.echelon`."""
 
 from __future__ import annotations
 
+from . import echelon
+
+
+def _dense(row: dict, ncols: int) -> list:
+    c = next(iter(row.values()))
+    dense = [c - c] * ncols
+    for j, v in row.items():
+        dense[j] = v
+    return dense
+
 
 def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
-
-    Rows are copied; pivots are scaled to one and cleared from all other rows.
-    """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    form = echelon.Echelon()
+    for r in rows:
+        form.insert({j: v for j, v in enumerate(r) if v})
+    return [_dense(r, ncols) for r in form.sorted_rows()], sorted(form.rows)
 
 
 def rank(rows: list[list], ncols: int) -> int:
@@ -43,26 +32,8 @@ def nullspace(rows: list[list], ncols: int, one, max_cells: int | None = None) -
     `max_cells` bounds the materialized kernel basis (dimension times width);
     exceeding it raises ResourceCapError before the expensive step.
     """
-    reduced, pivots = rref(rows, ncols)
-    zero = one - one
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    if max_cells is not None and len(free_cols) * ncols > max_cells:
-        from .errors import ResourceCapError
-
-        raise ResourceCapError(
-            f"kernel basis too large: {len(free_cols)}x{ncols} > {max_cells}"
-        )
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in zip(reduced, pivots):
-            if r[fc]:
-                vec[pc] = -r[fc]
-        basis.append(vec)
-    canonical, _ = rref(basis, ncols)
-    return canonical
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one, max_cells)]
 
 
 def solve_unique(matrix: list[list], rhs: list):
@@ -82,13 +53,3 @@ def solve_unique(matrix: list[list], rhs: list):
     for row, pc in zip(reduced, pivots):
         x[pc] = row[ncols]
     return x
-
-
-def reduce_against(vector: list, basis_rows: list[list], pivots: list[int]) -> list:
-    """Subtract multiples of RREF rows to clear the pivot coordinates."""
-    v = list(vector)
-    for row, pc in zip(basis_rows, pivots):
-        if v[pc]:
-            factor = v[pc]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return v

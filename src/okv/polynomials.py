@@ -72,11 +72,6 @@ class Polynomial:
             raise ValidationError("zero polynomial has no leading exponent")
         return self.terms[0][0]
 
-    def leading_coefficient(self):
-        if not self.terms:
-            raise ValidationError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
     def coefficient(self, exponent: Exponent):
         d = dict(self.terms)
         return d.get(tuple(exponent))
@@ -242,12 +237,17 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# Deepest nesting of parentheses and unary signs; a level costs up to four frames.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals."""
 
     def __init__(self, tokens, variables, field):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.variables = tuple(variables)
         self.field = field
 
@@ -317,14 +317,22 @@ class _Parser:
             exp = tuple(1 if w == val else 0 for w in self.variables)
             return Polynomial.monomial(self.variables, exp, self.field.one)
         if kind == "op" and val == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             kind, val = self.take()
             if not (kind == "op" and val == ")"):
                 raise ValidationError("unbalanced parentheses")
             return inner
         if kind == "op" and val == "-":
-            return -self.atom()
+            return -self.nested(self.atom)
         raise ValidationError(f"malformed polynomial at {val!r}")
+
+    def nested(self, parse) -> Polynomial:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ValidationError(f"polynomial nested more than {MAX_NESTING} levels deep")
+        result = parse()
+        self.depth -= 1
+        return result
 
 
 def parse_polynomial(text: str, variables: Iterable[str], field=QQ) -> Polynomial:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .echelon import Echelon
 from .errors import ResourceCapError, ValidationError
 from .polynomials import Polynomial
 
@@ -43,27 +44,6 @@ class SectionSpace:
         raise ValidationError(f"no basis element with leading exponent {exponent}")
 
 
-def _eliminate(poly: dict, rows: dict) -> dict:
-    """Clear every pivot exponent of `rows` from the term dict `poly`."""
-    while poly:
-        hit = None
-        for exp in sorted(poly):
-            if exp in rows:
-                hit = exp
-                break
-        if hit is None:
-            break
-        factor = poly[hit]
-        for exp, c in rows[hit].items():
-            s = poly.get(exp)
-            s = -factor * c if s is None else s - factor * c
-            if s:
-                poly[exp] = s
-            else:
-                poly.pop(exp, None)
-    return poly
-
-
 def reduce_to_basis(
     spanning: Sequence[Polynomial],
     *,
@@ -89,40 +69,14 @@ def reduce_to_basis(
             raise ValidationError("empty spanning set needs an explicit variable list")
         varlist = tuple(variables)
 
-    rows: dict[tuple, dict] = {}
-    stored_terms = 0
+    form = Echelon()
     for p in spanning:
-        work = _eliminate(dict(p.terms), rows)
-        if not work:
-            continue
-        lead = min(work)
-        inv = work[lead]
-        work = {e: c / inv for e, c in work.items()}
-        for pivot, row in rows.items():
-            c = row.get(lead)
-            if c:
-                merged = dict(row)
-                del merged[lead]
-                for e, v in work.items():
-                    if e == lead:
-                        continue
-                    s = merged.get(e)
-                    s = -c * v if s is None else s - c * v
-                    if s:
-                        merged[e] = s
-                    else:
-                        merged.pop(e, None)
-                stored_terms += len(merged) - len(row)
-                rows[pivot] = merged
-        rows[lead] = work
-        stored_terms += len(work)
-        if stored_terms > cap_monomials:
+        form.insert(dict(p.terms))
+        if form.terms > cap_monomials:
             raise ResourceCapError(
-                f"monomial cap exceeded while reducing: {stored_terms} > {cap_monomials}"
+                f"monomial cap exceeded while reducing: {form.terms} > {cap_monomials}"
             )
-    basis = tuple(
-        Polynomial.from_dict(varlist, rows[pivot]) for pivot in sorted(rows)
-    )
+    basis = tuple(Polynomial.from_dict(varlist, row) for row in form.sorted_rows())
     return SectionSpace(varlist, basis, grade)
 
 
@@ -152,9 +106,10 @@ def reduce_mod(space: SectionSpace, poly: Polynomial) -> Polynomial:
     """Residue of a polynomial after reducing against the basis."""
     if poly.variables != space.variables:
         raise ValidationError("variable mismatch in reduction")
-    rows = {p.leading_exponent(): dict(p.terms) for p in space.basis}
-    residue = _eliminate(dict(poly.terms), rows)
-    return Polynomial.from_dict(space.variables, residue)
+    form = Echelon()
+    for p in space.basis:
+        form.insert(dict(p.terms))
+    return Polynomial.from_dict(space.variables, form.reduce(dict(poly.terms)))
 
 
 def contains(space: SectionSpace, poly: Polynomial) -> bool:

@@ -7,6 +7,8 @@ expected values are computed along a second, unrelated path.
 import itertools
 from fractions import Fraction
 
+from okv.polynomials import Polynomial
+
 
 def solve_exact(matrix, rhs):
     """Plain Gaussian elimination; None when inconsistent or underdetermined."""
@@ -78,3 +80,172 @@ def oracle_sumset_slices(generators, max_degree):
                     acc.add(tuple(a + b for a, b in zip(w, gu)))
         slices.append(acc)
     return slices
+
+
+# ---------------------------------------------------------------------------
+# Dense Gauss-Jordan elimination over any field, and the dense degree-by-degree
+# kernel and flatness computation built on it: the elimination path okv used
+# before its sparse echelon engine, kept as a differential reference.
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][col]
+        rows[rank] = [v / inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def dense_nullspace(rows, ncols, one):
+    """Canonical basis of {x : A x = 0}: the RREF of a free-column basis."""
+    reduced, pivots = dense_rref(rows, ncols)
+    zero = one - one
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for r, pc in zip(reduced, pivots):
+            if r[fc]:
+                vec[pc] = -r[fc]
+        basis.append(vec)
+    return dense_rref(basis, ncols)[0]
+
+
+def dense_reduce_against(vector, basis_rows, pivots):
+    """Subtract multiples of RREF rows to clear the pivot coordinates."""
+    v = list(vector)
+    for row, pc in zip(basis_rows, pivots):
+        if v[pc]:
+            factor = v[pc]
+            v = [a - factor * b for a, b in zip(v, row)]
+    return v
+
+
+def _dense_degree(presentation, degree):
+    """Label monomials of a degree in (value, exponent) order, their index,
+    and their evaluations in the polynomial model."""
+    grades = presentation.grades
+    d = len(presentation.generators[0].degree[1])
+
+    def value(a):
+        return tuple(
+            sum(n * g.degree[1][i] for n, g in zip(a, presentation.generators))
+            for i in range(d)
+        )
+
+    monomials = sorted(_dense_degree_exponents(grades, degree), key=lambda a: (value(a), a))
+    evaluations = []
+    for a in monomials:
+        poly = Polynomial.constant(presentation.model_variables, presentation.field.one)
+        for n, g in zip(a, presentation.generators):
+            for _ in range(n):
+                poly = poly * g.lift
+        evaluations.append(poly)
+    return monomials, {a: j for j, a in enumerate(monomials)}, evaluations, value
+
+
+def _dense_multiples(polys_by_degree, presentation, degree, index, zero):
+    """Dense vectors of every monomial multiple of (poly, degree) landing in degree."""
+    labels = presentation.labels
+    one = presentation.field.one
+    vectors = []
+    for poly, rel_degree in polys_by_degree:
+        shift = degree - rel_degree
+        if shift < 0:
+            continue
+        for b in _dense_degree_exponents(presentation.grades, shift):
+            shifted = poly * Polynomial.monomial(labels, b, one)
+            row = [zero] * len(index)
+            for exp, c in shifted.terms:
+                row[index[exp]] = c
+            vectors.append(row)
+    return vectors
+
+
+def _dense_degree_exponents(grades, total):
+    """Exponent vectors a with sum a_i * grades_i == total, in lex order."""
+    if not grades:
+        return [()] if total == 0 else []
+    return [(n,) + rest
+            for n in range(total // grades[0] + 1)
+            for rest in _dense_degree_exponents(grades[1:], total - n * grades[0])]
+
+
+def dense_kernel_relations(presentation, relation_degree):
+    """(poly, (degree, value)) of every kernel generator up to the degree."""
+    field = presentation.field
+    labels = presentation.labels
+    relations = []
+    for degree in range(1, relation_degree + 1):
+        monomials, index, evaluations, value = _dense_degree(presentation, degree)
+        if not monomials:
+            continue
+        columns = sorted({exp for p in evaluations for exp, _ in p.terms})
+        col = {exp: j for j, exp in enumerate(columns)}
+        transpose = [[field.zero] * len(monomials) for _ in columns]
+        for i, p in enumerate(evaluations):
+            for exp, c in p.terms:
+                transpose[col[exp]][i] = c
+        kernel = dense_nullspace(transpose, len(monomials), field.one)
+        if not kernel:
+            continue
+        old = _dense_multiples(
+            [(p, d[0]) for p, d in relations], presentation, degree, index, field.zero
+        )
+        old_rref, old_pivots = dense_rref(old, len(monomials))
+        fresh = [dense_reduce_against(v, old_rref, old_pivots) for v in kernel]
+        fresh, _ = dense_rref([v for v in fresh if any(v)], len(monomials))
+        for vec in fresh:
+            coeffs = {a: c for a, c in zip(monomials, vec) if c}
+            poly = Polynomial.from_dict(labels, coeffs)
+            relations.append((poly, (degree, min(value(a) for a in coeffs))))
+    return relations
+
+
+def dense_flatness(presentation, relations, gamma, check_degree):
+    """(rows, binomial): per degree (degree, generic quotient dim, special
+    quotient dim, semigroup count) by dense elimination of the evaluation
+    matrix and of the initial-form multiples."""
+    field = presentation.field
+    rows = []
+    binomial = True
+    for degree in range(check_degree + 1):
+        monomials, index, evaluations, value = _dense_degree(presentation, degree)
+        columns = sorted({exp for p in evaluations for exp, _ in p.terms})
+        col = {exp: j for j, exp in enumerate(columns)}
+        matrix = []
+        for p in evaluations:
+            row = [field.zero] * len(columns)
+            for exp, c in p.terms:
+                row[col[exp]] = c
+            matrix.append(row)
+        generic = len(dense_rref(matrix, len(columns))[0])
+        initial = _dense_multiples(
+            [(r.initial, r.degree[0]) for r in relations],
+            presentation, degree, index, field.zero,
+        )
+        special, _ = dense_rref(initial, len(monomials))
+        for vec in special:
+            support = [(monomials[j], c) for j, c in enumerate(vec) if c]
+            if not (
+                len(support) == 2
+                and support[0][1] == field.one
+                and support[1][1] == -field.one
+                and value(support[0][0]) == value(support[1][0])
+            ):
+                binomial = False
+        rows.append((degree, generic, len(monomials) - len(special),
+                     len(gamma.slice(degree))))
+    return rows, binomial

@@ -300,3 +300,19 @@ def test_zero_denominator_in_prime_field_exits_one(tmp_path, capsys):
 def test_null_cap_exits_one(tmp_path, capsys):
     job = {"variables": ["x"], "sections": ["x"], "max_degree": 1, "cap_monomials": None}
     assert_validation_exit(*run_job_file(tmp_path, capsys, job))
+
+
+def test_non_integer_orders_exit_one(capsys):
+    code, out, err = run_main(
+        capsys, "check", "saturation", "--fixture", "counterexample-p1xp1", "--orders", "a,b"
+    )
+    assert_validation_exit(code, out, err)
+    assert "--orders" in err
+
+
+def test_deep_nesting_exits_one(tmp_path, capsys):
+    section = "(" * 3000 + "x" + ")" * 3000
+    job = {"variables": ["x"], "sections": [section], "max_degree": 1}
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "nested" in err
