@@ -24,7 +24,6 @@ from .semigroups import (
     gamma_from_slices,
     hilbert_counts,
     minimal_generators,
-    normality_check,
     okounkov_body_estimate,
     semigroup_normality_check,
 )

@@ -28,7 +28,6 @@ from .semigroups import (
     gamma_from_generators,
     minimal_generators,
     okounkov_body_estimate,
-    normality_check,
     semigroup_normality_check,
 )
 from .valuation import nu, saturation_check
@@ -39,7 +38,9 @@ CHECKS = ("normality", "saturation", "restriction", "compatibility")
 def _job_semigroup(job: JobSpec, max_degree: int | None = None):
     bound = max_degree if max_degree is not None else job.max_degree
     if job.is_abstract:
-        return gamma_from_generators(job.generator_points(), bound)
+        return gamma_from_generators(
+            job.generator_points(), bound, cap_monomials=job.cap_monomials
+        )
     return build_gamma(
         job.section_space(), job.flag(), bound, cap_monomials=job.cap_monomials
     )
@@ -72,7 +73,7 @@ def _run_body(job: JobSpec) -> dict:
     }
     if all(c.denominator == 1 for v in body.vertices for c in v):
         payload["normalized_volume"] = normalized_volume(body)
-        payload["lattice_count"] = len(lattice_points(body, 1))
+        payload["lattice_count"] = len(lattice_points(body, 1, job.cap_monomials))
     return payload
 
 
@@ -92,6 +93,7 @@ def _run_degenerate(job: JobSpec) -> dict:
             job.max_degree,
             job.relation_degree,
             matrix_cap=job.cap_matrix,
+            cap_monomials=job.cap_monomials,
         )
     else:
         report = degenerate_section_space(
@@ -107,19 +109,9 @@ def _run_degenerate(job: JobSpec) -> dict:
 
 def _run_check(what: str, job: JobSpec) -> dict:
     if what == "normality":
-        if job.is_abstract:
-            gamma = gamma_from_generators(
-                job.generator_points(),
-                max(job.max_degree, len(job.semigroup_generators[0]) - 1),
-            )
-            record = semigroup_normality_check(gamma)
-        else:
-            record = normality_check(
-                job.section_space(),
-                job.flag(),
-                job.max_degree,
-                cap_monomials=job.cap_monomials,
-            )
+        dim = len(job.semigroup_generators[0]) - 1 if job.is_abstract else len(job.variables)
+        gamma = _job_semigroup(job, max(job.max_degree, dim))
+        record = semigroup_normality_check(gamma, job.cap_monomials)
         return {"normality": rpt.normality_dict(record)}
     if what == "saturation":
         if job.is_abstract:

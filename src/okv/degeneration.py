@@ -1,16 +1,17 @@
 """Toric degenerations: weight vectors, presentations, kernel ideals, Rees families.
 
 The flow is: pick generators of the graded value semigroup and lift them to
-sections; compute the kernel of the induced polynomial presentation degree
-by degree with the sparse exact echelon engine (`okv.echelon`), whose
-columns are read straight off the evaluated label monomials; collapse the
-modified order on the finitely many degrees that occur to a single integer
-weighting; homogenize each relation into a one-parameter family
-interpolating between the relation and its initial form; certify flatness
-by matching three Hilbert functions degreewise, the generic one taken from
-the kernel dimensions of the relation pass.  Every matrix cap is checked
-before the step it bounds: the number of relation multiples in a degree
-follows from monomial counts, before any monomial of it is evaluated.
+sections, both read off one power tower of the section space; compute the
+kernel of the induced polynomial presentation degree by degree with the
+sparse exact echelon engine (`okv.echelon`), whose columns are read straight
+off the evaluated label monomials; collapse the modified order on the
+finitely many degrees that occur to a single integer weighting; homogenize
+each relation into a one-parameter family interpolating between the
+relation and its initial form; certify flatness by matching three Hilbert
+functions degreewise, the generic one taken from the kernel dimensions of
+the relation pass.  Every matrix cap is checked before the step it bounds:
+the number of relation multiples in a degree follows from monomial counts,
+before any monomial of it is evaluated.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .semigroups import (
     GradedSemigroup,
     build_gamma,
     gamma_from_generators,
-    gamma_from_slices,
+    gamma_from_tower,
     minimal_generators,
     okounkov_body_estimate,
+    power_tower,
 )
-from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, is_subspace, product_space
-from .valuation import FlagSpec, nu_image, restricted_system
+from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, is_subspace
+from .valuation import FlagSpec, restricted_system
 from .polytopes import RationalPolytope, face_restriction, polytopes_equal
 
 DEFAULT_MATRIX_CAP = 500_000
@@ -156,14 +158,24 @@ class Presentation:
         raise ValidationError(f"no generator of degree {degree}")
 
 
-def _gamma_and_powers(space, flag, max_degree, cap_monomials):
+def _present(space, flag, max_degree, cap_monomials):
+    """A presentation, the semigroup truncated at `max_degree` it was read from,
+    and their power tower, resumable at degree max_degree + 1.  The lift of
+    (m, u) is the reduced-basis element of the m-th power space whose leading
+    exponent is u, so the choice is canonical."""
     if space.is_zero:
         raise ValidationError("cannot present the zero space")
-    powers = [space]
-    for _ in range(2, max_degree + 1):
-        powers.append(product_space(powers[-1], space, cap_monomials=cap_monomials))
-    slices = [{(0,) * flag.dim}] + [nu_image(p, flag) for p in powers]
-    return gamma_from_slices(slices, flag.dim), powers
+    if max_degree < 1:
+        raise ValidationError("a presentation needs the semigroup to degree at least 1")
+    tower = power_tower(space, cap_monomials)
+    powers = [next(tower) for _ in range(max_degree)]
+    gamma = gamma_from_tower(iter(powers), flag, max_degree)
+    out = []
+    for i, (m, u) in enumerate(minimal_generators(gamma), start=1):
+        lift = powers[m - 1].element_with_leading_exponent(u)
+        out.append(PresentationGenerator(f"X{i}", (m, u), lift))
+    field = polynomial_field(space.basis[0])
+    return Presentation(tuple(out), space.variables, field), gamma, tower
 
 
 def build_presentation(
@@ -172,19 +184,8 @@ def build_presentation(
     max_degree: int,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> Presentation:
-    """One labelled generator per minimal semigroup generator, with its lift.
-
-    The lift of (m, u) is the reduced-basis element of the m-th power space
-    whose leading exponent is u, so the choice is canonical.
-    """
-    gamma, powers = _gamma_and_powers(space, flag, max_degree, cap_monomials)
-    gens = minimal_generators(gamma)
-    out = []
-    for i, (m, u) in enumerate(gens, start=1):
-        lift = powers[m - 1].element_with_leading_exponent(u)
-        out.append(PresentationGenerator(f"X{i}", (m, u), lift))
-    field = polynomial_field(space.basis[0])
-    return Presentation(tuple(out), space.variables, field)
+    """One labelled generator per minimal semigroup generator, with its lift."""
+    return _present(space, flag, max_degree, cap_monomials)[0]
 
 
 def presentation_from_generators(generators) -> Presentation:
@@ -598,10 +599,11 @@ def degenerate_section_space(
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
-    """Full pipeline for a polynomial linear system."""
-    presentation = build_presentation(space, flag, max_degree, cap_monomials)
+    """Full pipeline for a polynomial linear system, on one power tower."""
+    presentation, gamma, tower = _present(space, flag, max_degree, cap_monomials)
     depth = relation_degree or default_relation_degree(presentation)
-    gamma = build_gamma(space, flag, max(max_degree, depth), cap_monomials)
+    gamma = gamma_from_tower(tower, flag, max(max_degree, depth), below=gamma)
+    tower.close()  # frees the highest power before the kernel pass
     return run_degeneration(presentation, gamma, depth, matrix_cap)
 
 
@@ -610,11 +612,12 @@ def degenerate_semigroup(
     max_degree: int,
     relation_degree: int | None = None,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
+    cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> DegenerationReport:
     """Full pipeline for an abstract finitely generated value semigroup."""
     presentation = presentation_from_generators(generators)
     depth = relation_degree or default_relation_degree(presentation)
-    gamma = gamma_from_generators(generators, max(max_degree, depth))
+    gamma = gamma_from_generators(generators, max(max_degree, depth), cap_monomials=cap_monomials)
     return run_degeneration(presentation, gamma, depth, matrix_cap)
 
 
@@ -641,21 +644,13 @@ def subsystem_compatibility(
     """A single weight vector valid for both degenerations, plus body inclusion."""
     if not is_subspace(subsystem, space):
         raise ValidationError("the subsystem is not contained in the ambient system")
-    pres_big = build_presentation(space, flag, max_degree, cap_monomials)
-    pres_small = build_presentation(subsystem, flag, max_degree, cap_monomials)
-    depth = relation_degree or max(
-        default_relation_degree(pres_big), default_relation_degree(pres_small)
-    )
-    kernel_big = kernel_ideal_truncated(pres_big, depth, matrix_cap)
-    kernel_small = kernel_ideal_truncated(pres_small, depth, matrix_cap)
-    union = _difference_points(pres_big, kernel_big) | _difference_points(
-        pres_small, kernel_small
+    systems = [_present(v, flag, max_degree, cap_monomials)[:2] for v in (space, subsystem)]
+    depth = relation_degree or max(default_relation_degree(p) for p, _ in systems)
+    union = set().union(
+        *(_difference_points(p, kernel_ideal_truncated(p, depth, matrix_cap)) for p, _ in systems)
     )
     shared_pi = choose_weight_vector(union, dim=flag.dim)
-    body_big = okounkov_body_estimate(build_gamma(space, flag, max_degree, cap_monomials))
-    body_small = okounkov_body_estimate(
-        build_gamma(subsystem, flag, max_degree, cap_monomials)
-    )
+    body_big, body_small = (okounkov_body_estimate(gamma) for _, gamma in systems)
     inclusion = all(body_big.contains(v) for v in body_small.vertices)
     return CompatibilityRecord(shared_pi, inclusion, max_degree, depth)
 

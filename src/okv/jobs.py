@@ -77,22 +77,20 @@ class JobSpec:
     def _parse_sections(self, strings) -> list[Polynomial]:
         fld = self.coefficient_field
         variables = tuple(self.variables)
-        polys = [parse_polynomial(s, variables, fld) for s in strings]
+        polys = [parse_polynomial(s, variables, fld, self.cap_monomials) for s in strings]
         if self.change_of_coordinates is not None:
             matrix_rows = self.change_of_coordinates
             if len(matrix_rows) != len(variables) or any(
                 len(r) != len(variables) for r in matrix_rows
             ):
                 raise ValidationError("coordinate change must be a square matrix")
+            matrix = [[_coordinate_entry(c, fld) for c in row] for row in matrix_rows]
             form = Echelon()
-            for row in matrix_rows:
-                form.insert({j: v for j, c in enumerate(row) if (v := fld(Fraction(c)))})
+            for row in matrix:
+                form.insert({j: v for j, v in enumerate(row) if v})
             if len(form.rows) != len(variables):
                 raise ValidationError("coordinate change must be invertible")
-            images = {
-                v: _linear_form(variables, row, fld)
-                for v, row in zip(variables, matrix_rows)
-            }
+            images = {v: _linear_form(variables, row) for v, row in zip(variables, matrix)}
             polys = [p.substitute(images, variables) for p in polys]
         return polys
 
@@ -111,10 +109,18 @@ class JobSpec:
         )
 
 
-def _linear_form(variables, row, fld) -> Polynomial:
+def _coordinate_entry(entry, fld):
+    try:
+        return fld(Fraction(entry))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"coordinate change entries must be rational numbers, got {entry!r}"
+        ) from exc
+
+
+def _linear_form(variables, row) -> Polynomial:
     coeffs = {}
-    for j, entry in enumerate(row):
-        value = fld(Fraction(entry))
+    for j, value in enumerate(row):
         if value:
             exp = tuple(1 if t == j else 0 for t in range(len(variables)))
             coeffs[exp] = value

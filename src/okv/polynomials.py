@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .fields import QQ, field_of
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -121,6 +121,11 @@ class Polynomial:
         return Polynomial(self.variables, tuple(sorted(acc.items(), key=lambda t: t[0])))
 
     def __pow__(self, n: int) -> "Polynomial":
+        return self.power(n)
+
+    def power(self, n: int, cap_monomials: int | None = None) -> "Polynomial":
+        """self ** n by repeated squaring; with a cap, ResourceCapError as soon
+        as an intermediate result has more than cap_monomials terms."""
         if n < 0:
             raise ValidationError("negative polynomial power")
         result = Polynomial.constant(self.variables, _one_like(self))
@@ -130,6 +135,11 @@ class Polynomial:
                 result = result * base
             base = base * base if n > 1 else base
             n >>= 1
+            largest = max(len(result.terms), len(base.terms))
+            if cap_monomials is not None and largest > cap_monomials:
+                raise ResourceCapError(
+                    f"monomial cap exceeded expanding a power: {largest} > {cap_monomials}"
+                )
         return result
 
     def substitute(self, values: Mapping[str, "Polynomial"], variables: Iterable[str]) -> "Polynomial":
@@ -244,12 +254,13 @@ MAX_NESTING = 100
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals."""
 
-    def __init__(self, tokens, variables, field):
+    def __init__(self, tokens, variables, field, cap_monomials):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
         self.variables = tuple(variables)
         self.field = field
+        self.cap_monomials = cap_monomials
 
     def peek(self):
         return self.tokens[self.i]
@@ -297,7 +308,7 @@ class _Parser:
                 raise ValidationError("negative exponent in polynomial")
             if kind != "number" or "/" in val:
                 raise ValidationError("exponent must be a non-negative integer")
-            return base ** int(val)
+            return base.power(int(val), self.cap_monomials)
         return base
 
     def atom(self) -> Polynomial:
@@ -335,16 +346,19 @@ class _Parser:
         return result
 
 
-def parse_polynomial(text: str, variables: Iterable[str], field=QQ) -> Polynomial:
+def parse_polynomial(
+    text: str, variables: Iterable[str], field=QQ, cap_monomials: int | None = None
+) -> Polynomial:
     """Parse an expression in +, -, *, ^, rational literals and declared names.
 
     Returns the expanded normal form; printing and re-parsing a normal form
-    is the identity.
+    is the identity.  With a monomial cap, a power `^` stops with
+    ResourceCapError once an intermediate result has more terms than the cap.
     """
     variables = tuple(variables)
     if len(set(variables)) != len(variables) or not variables:
         raise ValidationError("variable names must be nonempty and distinct")
-    parser = _Parser(_tokenize(text), variables, field)
+    parser = _Parser(_tokenize(text), variables, field, cap_monomials)
     result = parser.expr()
     kind, val = parser.take()
     if kind != "end":

@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, prod
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ResourceCapError, ValidationError
 from . import linalg
+from .spaces import DEFAULT_MONOMIAL_CAP
 
 Point = tuple  # tuple[Fraction, ...]
 Halfspace = tuple  # (normal: tuple[int, ...], offset: Fraction), meaning <n, x> <= c
@@ -333,13 +334,17 @@ def polytope_from_halfspaces(halfspaces, ambient_dim: int) -> RationalPolytope:
     return convex_hull(candidates)
 
 
-def lattice_points(poly: RationalPolytope, dilation: int = 1) -> set:
+def lattice_points(
+    poly: RationalPolytope, dilation: int = 1, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+) -> set:
     """All integer points of the dilated polytope, in integer arithmetic.
 
     An integer point x lies in the dilation exactly when <n, x> <=
     floor(dilation * c) for every halfspace, since the normals are integer.
     The scan runs over the bounding box of the first d-1 coordinates, and
-    the halfspaces give the range of the last coordinate directly.
+    the halfspaces give the range of the last coordinate directly.  The
+    points of the whole bounding box, which bound both the scan and the
+    result, are checked against the monomial cap before the scan.
     """
     if dilation < 1:
         raise ValidationError("dilation factor must be at least 1")
@@ -351,6 +356,11 @@ def lattice_points(poly: RationalPolytope, dilation: int = 1) -> set:
         return {()} if all(b >= 0 for _, b in bounds) else set()
     lo = [ceil(min(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     hi = [floor(max(v[i] for v in poly.vertices) * dilation) for i in range(d)]
+    box = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    if box > cap_monomials:
+        raise ResourceCapError(
+            f"monomial cap exceeded by the lattice scan box: {box} > {cap_monomials}"
+        )
     found = set()
     for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
         low, high = lo[-1], hi[-1]

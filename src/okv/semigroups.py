@@ -3,15 +3,18 @@
 A graded point is a pair (m, u) with m a non-negative degree and u an
 integer vector.  The modified total order compares degree first and then
 the value part by *reversed* lexicographic order: (m1, u1) <= (m2, u2) iff
-m1 < m2, or m1 = m2 and u1 >=lex u2.
+m1 < m2, or m1 = m2 and u1 >=lex u2.  A section space's semigroup is read
+off one lazy power tower V, V^2, ... (`power_tower`), the only place okv
+multiplies spaces; minimal generators come from a membership test, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ResourceCapError, ValidationError
 from .polytopes import RationalPolytope, convex_hull, lattice_points
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, product_space
 from .valuation import FlagSpec, nu_image
@@ -38,19 +41,46 @@ class GradedSemigroup:
             raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
         return self.slices[m]
 
-    def points(self):
-        for m, s in enumerate(self.slices):
-            for u in sorted(s):
-                yield (m, u)
+    @cached_property
+    def generators(self) -> tuple[GradedPoint, ...]:
+        """Minimal generators sorted by (degree, value), found once.  Slices are
+        closed under addition, so (m, u) is decomposable iff u - g lies in the
+        slice of degree m - deg g for some generator g of lower degree."""
+        gens: list[GradedPoint] = []
+        for m in range(1, self.max_degree + 1):
+            gens += [(m, u) for u in sorted(self.slices[m]) if not any(
+                tuple(a - b for a, b in zip(u, g)) in self.slices[m - k] for k, g in gens)]
+        return tuple(gens)
 
 
 def gamma_from_slices(slices, dim: int) -> GradedSemigroup:
+    """A semigroup from hand-built slices, which must be closed under addition.
+    Every point is a sum of minimal generators, so they are closed iff the
+    generators regenerate them."""
     packed = tuple(frozenset(tuple(u) for u in s) for s in slices)
-    return GradedSemigroup(dim, len(packed) - 1, packed)
+    gamma = GradedSemigroup(dim, len(packed) - 1, packed)
+    if gamma_from_generators(gamma.generators, gamma.max_degree, dim).slices != packed:
+        raise ValidationError("slices are not closed under addition")
+    return gamma
 
 
-def sumset(a, b) -> set:
-    return {tuple(x + y for x, y in zip(u, v)) for u in a for v in b}
+def power_tower(space: SectionSpace, cap_monomials: int = DEFAULT_MONOMIAL_CAP):
+    """V, V^2, V^3, ...: lazily, each power once, as the last one times V.  A
+    caller may take a prefix and resume the same generator for more."""
+    power = space
+    while True:
+        yield power
+        power = product_space(power, space, cap_monomials=cap_monomials)
+
+
+def gamma_from_tower(tower, flag: FlagSpec, max_degree: int, below=None) -> GradedSemigroup:
+    """Valuation images of the powers a tower yields, up to `max_degree`.  The
+    slices of `below`, read from the same tower, come first: the tower then
+    resumes at degree below.max_degree + 1."""
+    slices = list(below.slices) if below else [frozenset({(0,) * flag.dim})]
+    while len(slices) <= max_degree:
+        slices.append(frozenset(nu_image(next(tower), flag)))
+    return GradedSemigroup(flag.dim, len(slices) - 1, tuple(slices))
 
 
 def build_gamma(
@@ -64,18 +94,14 @@ def build_gamma(
         raise ValidationError("cannot build a value semigroup from the zero space")
     if max_degree < 0:
         raise ValidationError("truncation degree must be non-negative")
-    d = flag.dim
-    slices = [frozenset({(0,) * d})]
-    power = space
-    for m in range(1, max_degree + 1):
-        if m > 1:
-            power = product_space(power, space, cap_monomials=cap_monomials)
-        slices.append(frozenset(nu_image(power, flag)))
-    return GradedSemigroup(d, max_degree, tuple(slices))
+    return gamma_from_tower(power_tower(space, cap_monomials), flag, max_degree)
 
 
-def gamma_from_generators(generators, max_degree: int, dim: int | None = None) -> GradedSemigroup:
-    """All natural-number combinations of graded generators up to a degree."""
+def gamma_from_generators(
+    generators, max_degree: int, dim: int | None = None, cap_monomials=DEFAULT_MONOMIAL_CAP
+) -> GradedSemigroup:
+    """All natural-number combinations of graded generators up to a degree.  The
+    sum_g |slice(m - deg g)| candidates of degree m are capped before it is formed."""
     gens = [(int(m), tuple(int(c) for c in u)) for m, u in generators]
     if any(m < 1 for m, _ in gens):
         raise ValidationError("generator degrees must be at least 1")
@@ -87,6 +113,10 @@ def gamma_from_generators(generators, max_degree: int, dim: int | None = None) -
         raise ValidationError("generators of mixed dimension")
     slices: list[set] = [{(0,) * dim}] + [set() for _ in range(max_degree)]
     for m in range(1, max_degree + 1):
+        candidates = sum(len(slices[m - gm]) for gm, _ in gens if gm <= m)
+        if candidates > cap_monomials:
+            raise ResourceCapError(f"monomial cap exceeded closing generators in degree "
+                                   f"{m}: {candidates} > {cap_monomials}")
         for gm, gu in gens:
             if gm <= m:
                 for w in slices[m - gm]:
@@ -95,21 +125,8 @@ def gamma_from_generators(generators, max_degree: int, dim: int | None = None) -
 
 
 def minimal_generators(semigroup: GradedSemigroup) -> list[GradedPoint]:
-    """Greedy minimal generating set of the truncated semigroup.
-
-    A point is a generator iff it is not a sum of two lower-degree points of
-    the semigroup; processing follows the modified order, and the result is
-    returned sorted by (degree, value).
-    """
-    gens: list[GradedPoint] = []
-    for m in range(1, semigroup.max_degree + 1):
-        decomposable: set = set()
-        for a in range(1, m // 2 + 1):
-            decomposable |= sumset(semigroup.slice(a), semigroup.slice(m - a))
-        fresh = [u for u in semigroup.slice(m) if u not in decomposable]
-        for u in sorted(fresh, key=lambda v: tuple(-c for c in v)):
-            gens.append((m, u))
-    return sorted(gens)
+    """Minimal generating set of the truncated semigroup, sorted by (degree, value)."""
+    return list(semigroup.generators)
 
 
 @dataclass(frozen=True)
@@ -122,20 +139,15 @@ class GenerationReport:
 
 
 def check_degree_one_generation(semigroup: GradedSemigroup) -> GenerationReport:
-    """Compare every slice with the iterated sumset of the degree-one slice."""
+    """Read off the minimal generators: the first slice beyond the sums of degree-one
+    points holds just the generators of its degree, so the strict-growth witness
+    is the least generator of degree above one in the modified order."""
     if semigroup.max_degree < 1:
         return GenerationReport("inconclusive", None, semigroup.max_degree)
-    reachable = set(semigroup.slice(1))
-    first = semigroup.slice(1)
-    for m in range(2, semigroup.max_degree + 1):
-        reachable = sumset(reachable, first)
-        extra = semigroup.slice(m) - reachable
-        if extra:
-            witness_value = min(extra, key=lambda v: tuple(-c for c in v))
-            return GenerationReport("strict-growth", (m, witness_value), semigroup.max_degree)
-        missing = reachable - semigroup.slice(m)
-        if missing:
-            raise ValidationError("slices are not closed under addition")
+    higher = [(m, u) for m, u in semigroup.generators if m > 1]
+    if higher:
+        witness = min(higher, key=lambda p: (p[0], tuple(-c for c in p[1])))
+        return GenerationReport("strict-growth", witness, semigroup.max_degree)
     return GenerationReport("generated-in-degree-one", None, semigroup.max_degree)
 
 
@@ -167,7 +179,9 @@ class NormalityRecord:
     lattice_count: int
 
 
-def semigroup_normality_check(semigroup: GradedSemigroup) -> NormalityRecord:
+def semigroup_normality_check(
+    semigroup: GradedSemigroup, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+) -> NormalityRecord:
     """Compare the dimension-fold slice with the dilated body's lattice points."""
     d = semigroup.dim
     if semigroup.max_degree < d:
@@ -175,21 +189,10 @@ def semigroup_normality_check(semigroup: GradedSemigroup) -> NormalityRecord:
             f"normality needs the semigroup built to degree {d}, have {semigroup.max_degree}"
         )
     body = okounkov_body_estimate(semigroup)
-    expected = lattice_points(body, d)
+    expected = lattice_points(body, d, cap_monomials)
     have = set(semigroup.slice(d))
     missing = expected - have
     if have - expected:
         raise InvariantError("slice escapes the dilated body")
     return NormalityRecord(not missing, frozenset(missing), d, len(expected))
 
-
-def normality_check(
-    space: SectionSpace,
-    flag: FlagSpec,
-    max_degree: int | None = None,
-    cap_monomials: int = DEFAULT_MONOMIAL_CAP,
-) -> NormalityRecord:
-    """Normality verdict for a section space, building powers up to max(M, d)."""
-    needed = max(max_degree or 0, flag.dim)
-    gamma = build_gamma(space, flag, needed, cap_monomials=cap_monomials)
-    return semigroup_normality_check(gamma)

@@ -68,6 +68,39 @@ def oracle_lattice_points(points, dilation):
     return found
 
 
+def sumset(a, b) -> set:
+    return {tuple(x + y for x, y in zip(u, v)) for u in a for v in b}
+
+
+def oracle_minimal_generators(slices):
+    """Sumset minimal generators (the path okv used before its membership
+    test): a point is a generator iff it is not a sum of two lower-degree
+    points; sorted by (degree, value)."""
+    gens = []
+    for m in range(1, len(slices)):
+        decomposable = set()
+        for a in range(1, m // 2 + 1):
+            decomposable |= sumset(slices[a], slices[m - a])
+        gens += [(m, u) for u in slices[m] if u not in decomposable]
+    return sorted(gens)
+
+
+def oracle_degree_one_generation(slices):
+    """(status, witness) from iterated sumsets of the degree-one slice; raises
+    ValueError when a slice misses a sum."""
+    if len(slices) < 2:
+        return "inconclusive", None
+    reachable = set(slices[1])
+    for m in range(2, len(slices)):
+        reachable = sumset(reachable, slices[1])
+        extra = set(slices[m]) - reachable
+        if extra:
+            return "strict-growth", (m, min(extra, key=lambda v: tuple(-c for c in v)))
+        if reachable - set(slices[m]):
+            raise ValueError("slices are not closed under addition")
+    return "generated-in-degree-one", None
+
+
 def oracle_sumset_slices(generators, max_degree):
     """Degreewise natural-number combinations of graded generators."""
     dim = len(generators[0][1])

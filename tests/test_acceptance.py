@@ -40,12 +40,11 @@ from okv.semigroups import (
     minimal_generators,
     okounkov_body_estimate,
     semigroup_normality_check,
-    sumset,
 )
 from okv.spaces import contains, product_space, reduce_to_basis
 from okv.valuation import FlagSpec, nu_image, restricted_system
 
-from oracles import oracle_lattice_points, oracle_sumset_slices
+from oracles import oracle_lattice_points, oracle_sumset_slices, sumset
 
 ELLIPTIC_GOOD = [(1, (0,)), (1, (1,)), (1, (3,))]
 

@@ -1,6 +1,7 @@
 """Command line behavior: payloads, determinism, exit codes, file input."""
 
 import json
+import time
 
 import pytest
 
@@ -316,3 +317,43 @@ def test_deep_nesting_exits_one(tmp_path, capsys):
     code, out, err = run_job_file(tmp_path, capsys, job)
     assert_validation_exit(code, out, err)
     assert "nested" in err
+
+
+def test_non_rational_coordinate_change_exits_one(tmp_path, capsys):
+    job = {
+        "variables": ["x", "y"],
+        "sections": ["x", "y"],
+        "max_degree": 1,
+        "change_of_coordinates": [["1", "a"], ["0", "1"]],
+    }
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "'a'" in err
+
+
+def assert_cap_exit_within(seconds, code, out, err, started):
+    assert time.perf_counter() - started < seconds
+    assert code == 2 and not out
+    assert any(line.startswith("error: resource-cap:") for line in err.splitlines())
+
+
+def test_wide_generator_normality_exits_two_before_the_lattice_scan(tmp_path, capsys):
+    jobfile = tmp_path / "job.json"
+    job = {
+        "semigroup_generators": [[1, 0, 0], [1, 400, 0], [1, 0, 400]],
+        "cap_monomials": 10,
+        "cap_matrix": 10,
+    }
+    jobfile.write_text(json.dumps(job), encoding="utf-8")
+    started = time.perf_counter()
+    result = run_main(capsys, "check", "normality", "--input", str(jobfile))
+    assert_cap_exit_within(0.5, *result, started)
+    assert "lattice scan box" in result[2]
+
+
+def test_capped_power_exits_two_before_expanding(tmp_path, capsys):
+    job = {"variables": ["x", "y"], "sections": ["(x+y+1)^60"], "cap_monomials": 10}
+    started = time.perf_counter()
+    result = run_job_file(tmp_path, capsys, job)
+    assert_cap_exit_within(0.5, *result, started)
+    assert "expanding a power" in result[2]

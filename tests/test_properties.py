@@ -14,9 +14,11 @@ from okv.cli import run
 from okv.jobs import load_fixture
 from okv.polynomials import Polynomial
 from okv.polytopes import convex_hull, in_convex_hull
-from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate, sumset
+from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import FlagSpec, nu, nu_image, nu_prefix_image
+
+from oracles import sumset
 
 VARS2 = ("x", "y")
 FLAG2 = FlagSpec(VARS2)

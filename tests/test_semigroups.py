@@ -14,7 +14,6 @@ from okv.semigroups import (
     hilbert_counts,
     minimal_generators,
     okounkov_body_estimate,
-    normality_check,
     semigroup_normality_check,
 )
 
@@ -189,7 +188,7 @@ def test_normality_elliptic_good_missing_two():
 
 
 def test_normality_bott_samelson(bott_samelson_space, bott_samelson_flag):
-    record = normality_check(bott_samelson_space, bott_samelson_flag)
+    record = semigroup_normality_check(build_gamma(bott_samelson_space, bott_samelson_flag, 3))
     assert record.normal
     assert record.lattice_count == 64
     assert record.dilation == 3
