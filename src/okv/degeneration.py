@@ -1,23 +1,28 @@
 """Toric degenerations: weight vectors, presentations, kernel ideals, Rees families.
 
-The flow is: pick generators of the graded value semigroup and lift them to
-sections, both read off one power tower of the section space; compute the
-kernel of the induced polynomial presentation degree by degree with the
-sparse exact echelon engine (`okv.echelon`), whose columns are read straight
-off the evaluated label monomials; collapse the modified order on the
-finitely many degrees that occur to a single integer weighting; homogenize
-each relation into a one-parameter family interpolating between the
-relation and its initial form; certify flatness by matching three Hilbert
-functions degreewise, the generic one taken from the kernel dimensions of
-the relation pass.  Every matrix cap is checked before the step it bounds:
-the number of relation multiples in a degree follows from monomial counts,
-before any monomial of it is evaluated.
+The flow is: take the minimal generators of the graded value semigroup from
+its subduction (`semigroups.Subduction`) and lift each (m, u) to the
+reduced-basis element of V^m with leading exponent u, building powers only
+up to the largest generator degree; extend the semigroup to the relation
+degree by resuming the subduction; compute the kernel of the induced
+polynomial presentation degree by degree with the sparse exact echelon
+engine (`okv.echelon`), whose columns are read straight off the evaluated
+label monomials; collapse the modified order on the finitely many degrees
+that occur to a single integer weighting; homogenize each relation into a
+one-parameter family interpolating between the relation and its initial
+form; certify flatness by matching three Hilbert functions degreewise, the
+generic one taken from the kernel dimensions of the relation pass.  The
+label monomials of each degree are enumerated once per degeneration and
+shared by both passes.  Every matrix cap is checked before the step it
+bounds: the number of relation multiples in a degree follows from monomial
+counts, before any monomial of it is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InvariantError, ResourceCapError, ValidationError
 from . import echelon
@@ -26,9 +31,9 @@ from .polynomials import Polynomial, polynomial_field
 from .semigroups import (
     GradedPoint,
     GradedSemigroup,
+    Subduction,
     build_gamma,
     gamma_from_generators,
-    gamma_from_tower,
     minimal_generators,
     okounkov_body_estimate,
     power_tower,
@@ -160,22 +165,24 @@ class Presentation:
 
 def _present(space, flag, max_degree, cap_monomials):
     """A presentation, the semigroup truncated at `max_degree` it was read from,
-    and their power tower, resumable at degree max_degree + 1.  The lift of
-    (m, u) is the reduced-basis element of the m-th power space whose leading
-    exponent is u, so the choice is canonical."""
+    and the subduction that found it, resumable for higher degrees.  The lift
+    of (m, u) is the reduced-basis element of the m-th power space whose
+    leading exponent is u, so the choice is canonical; powers are built only
+    up to the largest generator degree."""
     if space.is_zero:
         raise ValidationError("cannot present the zero space")
     if max_degree < 1:
         raise ValidationError("a presentation needs the semigroup to degree at least 1")
-    tower = power_tower(space, cap_monomials)
-    powers = [next(tower) for _ in range(max_degree)]
-    gamma = gamma_from_tower(iter(powers), flag, max_degree)
-    out = []
-    for i, (m, u) in enumerate(minimal_generators(gamma), start=1):
-        lift = powers[m - 1].element_with_leading_exponent(u)
-        out.append(PresentationGenerator(f"X{i}", (m, u), lift))
+    ring = Subduction(space, flag, cap_monomials)
+    gamma = ring.semigroup(max_degree)
+    gens = minimal_generators(gamma)
+    powers = list(islice(power_tower(space, cap_monomials), max(m for m, _ in gens)))
+    out = [
+        PresentationGenerator(f"X{i}", (m, u), powers[m - 1].element_with_leading_exponent(u))
+        for i, (m, u) in enumerate(gens, start=1)
+    ]
     field = polynomial_field(space.basis[0])
-    return Presentation(tuple(out), space.variables, field), gamma, tower
+    return Presentation(tuple(out), space.variables, field), gamma, ring
 
 
 def build_presentation(
@@ -267,6 +274,19 @@ def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, di
     return monomials, {a: j for j, a in enumerate(monomials)}
 
 
+class _MonomialLists(dict):
+    """`_degree_monomials` of each degree, enumerated once and shared by the
+    kernel and flatness passes of one degeneration."""
+
+    def __init__(self, presentation: Presentation):
+        super().__init__()
+        self.presentation = presentation
+
+    def __missing__(self, degree: int) -> tuple[list, dict]:
+        self[degree] = _degree_monomials(self.presentation, degree)
+        return self[degree]
+
+
 class _Evaluator:
     """Memoized evaluation of label monomials in the polynomial model."""
 
@@ -312,6 +332,7 @@ def kernel_ideal_truncated(
     presentation: Presentation,
     relation_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
+    monomial_lists: _MonomialLists | None = None,
 ) -> RelationSet:
     """Minimal generators of the kernel ideal up to the truncation degree.
 
@@ -321,18 +342,20 @@ def kernel_ideal_truncated(
     survivors are put in reduced echelon form, so the output is canonical.
     Monomial columns are ordered by (value, exponent), which places each
     relation's pivot inside its initial form.  Every kernel dimension is
-    kept for the flatness check.
+    kept for the flatness check, and so are the monomial lists when the
+    caller passes `monomial_lists`.
     """
     if relation_degree < 1:
         raise ValidationError("relation truncation degree must be at least 1")
     field = presentation.field
     labels = presentation.labels
     evaluate = _Evaluator(presentation)
+    lists = _MonomialLists(presentation) if monomial_lists is None else monomial_lists
     relations: list[Relation] = []
     leads: list[tuple] = []  # each relation's pivot monomial
     kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
-        monomials, mon_index = _degree_monomials(presentation, degree)
+        monomials, mon_index = lists[degree]
         multiples = _multiples(relations, presentation.grades, degree)
         # The column order is a monomial order, so b * relation has pivot
         # b + lead: multiples with distinct pivots are independent kernel
@@ -480,6 +503,7 @@ def flatness_report(
     gamma: GradedSemigroup,
     check_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
+    monomial_lists: _MonomialLists | None = None,
 ) -> FlatnessReport:
     """Degreewise Hilbert comparison of the generic fiber, the special fiber,
     and the semigroup algebra, plus a binomial-shape check on the special fiber.
@@ -487,7 +511,7 @@ def flatness_report(
     The generic fiber is not eliminated again: its degree-d dimension is the
     number of label monomials less the kernel dimension the relation pass
     recorded.  The special fiber is the echelon form of the initial-form
-    multiples.
+    multiples.  `monomial_lists` are the kernel pass's, when it shares them.
     """
     if relation_set.truncation_degree < check_degree:
         raise ValidationError("relations were not computed far enough")
@@ -498,10 +522,11 @@ def flatness_report(
     if len(relation_set.kernel_dims) <= check_degree:
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     field = presentation.field
+    lists = _MonomialLists(presentation) if monomial_lists is None else monomial_lists
     rows = []
     binomial = True
     for degree in range(0, check_degree + 1):
-        monomials, mon_index = _degree_monomials(presentation, degree)
+        monomials, mon_index = lists[degree]
         multiples = _multiples(relation_set.relations, presentation.grades, degree)
         _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
         special = echelon.Echelon()
@@ -570,10 +595,11 @@ def run_degeneration(
     relation_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
-    kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap)
+    lists = _MonomialLists(presentation)  # each degree enumerated once per job
+    kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap, lists)
     pi = weight_vector_for(presentation, kernel)
     enriched = rees_relations(kernel, presentation, pi)
-    flatness = flatness_report(presentation, enriched, gamma, relation_degree, matrix_cap)
+    flatness = flatness_report(presentation, enriched, gamma, relation_degree, matrix_cap, lists)
     weights = tuple(pi.weight(g.degree) for g in presentation.generators)
     return DegenerationReport(
         presentation,
@@ -599,11 +625,11 @@ def degenerate_section_space(
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
-    """Full pipeline for a polynomial linear system, on one power tower."""
-    presentation, gamma, tower = _present(space, flag, max_degree, cap_monomials)
+    """Full pipeline for a polynomial linear system: the semigroup is extended to
+    the relation degree by resuming the subduction that presented it."""
+    presentation, _, ring = _present(space, flag, max_degree, cap_monomials)
     depth = relation_degree or default_relation_degree(presentation)
-    gamma = gamma_from_tower(tower, flag, max(max_degree, depth), below=gamma)
-    tower.close()  # frees the highest power before the kernel pass
+    gamma = ring.semigroup(max(max_degree, depth))
     return run_degeneration(presentation, gamma, depth, matrix_cap)
 
 

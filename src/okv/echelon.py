@@ -12,9 +12,10 @@ from typing import Iterable
 from .errors import ResourceCapError
 
 
-def _subtract(row: dict, factor, other: dict) -> None:
-    """row -= factor * other, in place, dropping entries that cancel."""
-    for key, c in other.items():
+def subtract(row: dict, factor, other) -> None:
+    """row -= factor * other, in place, dropping entries that cancel; `other`
+    is an iterable of (key, coefficient) pairs."""
+    for key, c in other:
         s = row.get(key)
         s = -factor * c if s is None else s - factor * c
         if s:
@@ -42,7 +43,7 @@ class Echelon:
         """Clear every stored pivot from `row`, in place, and return it; one
         pass suffices, since a stored row holds no pivot but its own."""
         for key in [k for k in row if k in self.rows]:
-            _subtract(row, row[key], self.rows[key])
+            subtract(row, row[key], self.rows[key].items())
         return row
 
     def insert(self, row: dict) -> None:
@@ -60,7 +61,7 @@ class Echelon:
             c = other.get(lead)
             if c:
                 before = len(other)
-                _subtract(other, c, row)
+                subtract(other, c, row.items())
                 self.terms += len(other) - before
         self.rows[lead] = row
         self.terms += len(row)

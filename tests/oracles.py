@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 
 from okv.polynomials import Polynomial
+from okv.spaces import product_space
+from okv.valuation import nu_image
 
 
 def solve_exact(matrix, rhs):
@@ -99,6 +101,18 @@ def oracle_degree_one_generation(slices):
         if reachable - set(slices[m]):
             raise ValueError("slices are not closed under addition")
     return "generated-in-degree-one", None
+
+
+def product_loop_slices(space, flag, max_degree):
+    """A section space's slices as okv built them before subduction: the
+    valuation image of every power space, one product_space per degree."""
+    slices = [{(0,) * flag.dim}]
+    power = space
+    for m in range(1, max_degree + 1):
+        if m > 1:
+            power = product_space(power, space)
+        slices.append(nu_image(power, flag))
+    return [frozenset(s) for s in slices]
 
 
 def oracle_sumset_slices(generators, max_degree):

@@ -1,10 +1,12 @@
 """Weight vectors, presentations, kernel ideals, Rees families, flatness."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from okv import cli, degeneration
 from okv.errors import ValidationError
 from okv.fields import QQ
 from okv.polynomials import Polynomial, parse_polynomial
@@ -30,6 +32,7 @@ from okv.degeneration import (
     subsystem_compatibility,
     weight_vector_for,
 )
+from okv.jobs import load_fixture
 from okv.spaces import reduce_to_basis
 
 ELLIPTIC_GOOD = [(1, (0,)), (1, (1,)), (1, (3,))]
@@ -387,3 +390,19 @@ def test_flag_restriction_base_locus_error(counterexample_flag):
     )
     with pytest.raises(ValidationError):
         flag_restriction_check(divisible, counterexample_flag, 1, 2)
+
+
+def test_degenerate_enumerates_each_degree_once(monkeypatch):
+    # relation degree 6: the kernel pass needs degrees 1..6 and the flatness
+    # pass 0..6, seven distinct degrees, each enumerated once
+    calls = []
+    original = degeneration._degree_monomials
+
+    def counting(presentation, degree):
+        calls.append(degree)
+        return original(presentation, degree)
+
+    monkeypatch.setattr(degeneration, "_degree_monomials", counting)
+    job = dataclasses.replace(load_fixture("counterexample-p1xp1"), relation_degree=6)
+    cli.run("degenerate", job)
+    assert sorted(calls) == [0, 1, 2, 3, 4, 5, 6]

@@ -1,11 +1,13 @@
-"""One power tower and one generator set per job.
+"""One semigroup, one generator set and at most one power tower per job.
 
-The semigroup of a section space is read off one lazy power tower, and the
-minimal generators come from a membership test run once per semigroup.
-Both are compared with the paths they replaced: the product_space loop for
-the slices, and the sumset generators and iterated-sumset generation report
-of tests/oracles.py, over random generator sets, random hand-built slices
-and every section fixture over Q and F_32003.
+The semigroup of a section space comes from subduction with its minimal
+generators; abstract and hand-built semigroups find theirs by a membership
+test run once per semigroup.  Both are compared with the paths they
+replaced: the product_space loop for the slices, and the sumset generators
+and iterated-sumset generation report of tests/oracles.py, over random
+generator sets, random hand-built slices and every section fixture over Q
+and F_32003.  The power tower is left only for the canonical lifts of a
+presentation, up to its largest generator degree.
 """
 
 import dataclasses
@@ -37,9 +39,13 @@ from okv.semigroups import (
     power_tower,
 )
 from okv.spaces import product_space
-from okv.valuation import nu_image
 
-from oracles import oracle_degree_one_generation, oracle_minimal_generators, sumset
+from oracles import (
+    oracle_degree_one_generation,
+    oracle_minimal_generators,
+    product_loop_slices,
+    sumset,
+)
 
 SECTION_FIXTURES = [n for n in fixture_names() if not load_fixture(n).is_abstract]
 DEGREES = {"bott-samelson-u": 4, "bott-samelson-m": 3, "counterexample-p1xp1": 6}
@@ -51,17 +57,6 @@ def assert_matches_oracles(gamma):
     report = check_degree_one_generation(gamma)
     assert (report.status, report.witness) == oracle_degree_one_generation(slices)
     assert report.checked_degree == gamma.max_degree
-
-
-def product_loop_slices(space, flag, max_degree):
-    """The slices as built before the tower: one product_space per degree."""
-    slices = [{(0,) * flag.dim}]
-    power = space
-    for m in range(1, max_degree + 1):
-        if m > 1:
-            power = product_space(power, space)
-        slices.append(nu_image(power, flag))
-    return [frozenset(s) for s in slices]
 
 
 def section_job(name, field):
@@ -162,20 +157,45 @@ def count_product_spaces(monkeypatch):
 
 
 def test_degenerate_builds_each_power_once(monkeypatch):
+    # bott-samelson-u is generated in degree one: no power is needed for a lift
     calls = count_product_spaces(monkeypatch)
     job = dataclasses.replace(load_fixture("bott-samelson-u", 6), relation_degree=2)
     cli.run("degenerate", job)
-    assert calls == [2, 3, 4, 5, 6]
+    assert calls == []
+
+
+def test_degenerate_builds_powers_to_the_largest_generator_degree(monkeypatch):
+    calls = count_product_spaces(monkeypatch)
+    job = dataclasses.replace(load_fixture("counterexample-p1xp1", 4), relation_degree=6)
+    report = cli.run("degenerate", job)
+    grades = [g["degree"][0] for g in report["result"]["presentation"]["generators"]]
+    assert max(grades) == 4
+    assert calls == [2, 3, 4]
+
+
+@pytest.mark.parametrize("command, what, fixture", [
+    ("semigroup", None, "bott-samelson-u"),
+    ("semigroup", None, "counterexample-p1xp1"),
+    ("body", None, "bott-samelson-m"),
+    ("check", "normality", "counterexample-p1xp1"),
+    ("check", "restriction", "bott-samelson-u"),
+])
+def test_semigroup_commands_build_no_power(monkeypatch, command, what, fixture):
+    calls = count_product_spaces(monkeypatch)
+    job = dataclasses.replace(load_fixture(fixture, 4), restriction_index=1)
+    cli.run(command, job, what)
+    assert calls == []
 
 
 def test_compatibility_builds_each_tower_once(monkeypatch):
     calls = count_product_spaces(monkeypatch)
     job = dataclasses.replace(load_fixture("bott-samelson-u"), subsystem=("1", "x", "y", "z"))
     cli.run("check", job, "compatibility")
-    assert calls == [2, 3, 2, 3]
+    assert calls == []
 
 
-def test_semigroup_command_finds_generators_once(monkeypatch):
+def count_generator_searches(monkeypatch):
+    """Record the truncation degree of every membership search for generators."""
     runs = []
     find = GradedSemigroup.__dict__["generators"].func
 
@@ -186,7 +206,19 @@ def test_semigroup_command_finds_generators_once(monkeypatch):
     prop = cached_property(counting)
     prop.__set_name__(GradedSemigroup, "generators")
     monkeypatch.setattr(GradedSemigroup, "generators", prop)
+    return runs
+
+
+def test_semigroup_command_finds_generators_once(monkeypatch):
+    # subduction hands its generators to the semigroup: no search runs
+    runs = count_generator_searches(monkeypatch)
     cli.run("semigroup", load_fixture("counterexample-p1xp1", 4))
+    assert runs == []
+
+
+def test_abstract_semigroup_command_searches_generators_once(monkeypatch):
+    runs = count_generator_searches(monkeypatch)
+    cli.run("semigroup", load_fixture("elliptic-bad", 4))
     assert runs == [4]
 
 
