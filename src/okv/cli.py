@@ -1,8 +1,8 @@
 """Command line front end: parse a job, run the pipeline, emit one report.
 
 Commands: nu, body, semigroup, check, degenerate.  Reports go to standard
-output, diagnostics to standard error.  Exit codes: 0 success, 1 validation
-error, 2 resource cap exceeded, 3 internal invariant violation.
+output, diagnostics to standard error.  Exit codes: 0 success, 1 validation or
+usage error, 2 resource cap exceeded, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -238,8 +238,17 @@ def _load_job(args) -> JobSpec:
     return job
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other malformed input, since exit 2
+    means stopped early at a cap.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="okv",
         description=(
             "Exact flag valuations, graded value semigroups, Okounkov bodies, "

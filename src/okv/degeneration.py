@@ -2,8 +2,8 @@
 
 The flow is: take the minimal generators of the graded value semigroup from
 its subduction (`semigroups.Subduction`) and lift each (m, u) to the
-reduced-basis element of V^m with leading exponent u, building powers only
-up to the largest generator degree; extend the semigroup to the relation
+reduced-basis element of V^m with leading exponent u by the same
+subduction, with no power space built; extend the semigroup to the relation
 degree by resuming the subduction; compute the kernel of the induced
 polynomial presentation degree by degree with the sparse exact echelon
 engine (`okv.echelon`), whose columns are read straight off the evaluated
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 
 from .errors import InvariantError, ResourceCapError, ValidationError
 from . import echelon
@@ -36,7 +35,6 @@ from .semigroups import (
     gamma_from_generators,
     minimal_generators,
     okounkov_body_estimate,
-    power_tower,
 )
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, is_subspace
 from .valuation import FlagSpec, restricted_system
@@ -164,25 +162,22 @@ class Presentation:
 
 
 def _present(space, flag, max_degree, cap_monomials):
-    """A presentation, the semigroup truncated at `max_degree` it was read from,
-    and the subduction that found it, resumable for higher degrees.  The lift
-    of (m, u) is the reduced-basis element of the m-th power space whose
-    leading exponent is u, so the choice is canonical; powers are built only
-    up to the largest generator degree."""
+    """A presentation read from the semigroup truncated at `max_degree`, and the
+    subduction that found it, resumable for higher degrees.  Each generator
+    (m, u) is lifted by that subduction (`Subduction.lift`) to the element of
+    V^m's reduced basis with leading exponent u, so the choice is canonical
+    and no power space is built."""
     if space.is_zero:
         raise ValidationError("cannot present the zero space")
     if max_degree < 1:
         raise ValidationError("a presentation needs the semigroup to degree at least 1")
     ring = Subduction(space, flag, cap_monomials)
-    gamma = ring.semigroup(max_degree)
-    gens = minimal_generators(gamma)
-    powers = list(islice(power_tower(space, cap_monomials), max(m for m, _ in gens)))
     out = [
-        PresentationGenerator(f"X{i}", (m, u), powers[m - 1].element_with_leading_exponent(u))
-        for i, (m, u) in enumerate(gens, start=1)
+        PresentationGenerator(f"X{i}", (m, u), ring.lift(m, u))
+        for i, (m, u) in enumerate(minimal_generators(ring.semigroup(max_degree)), start=1)
     ]
     field = polynomial_field(space.basis[0])
-    return Presentation(tuple(out), space.variables, field), gamma, ring
+    return Presentation(tuple(out), space.variables, field), ring
 
 
 def build_presentation(
@@ -627,7 +622,7 @@ def degenerate_section_space(
 ) -> DegenerationReport:
     """Full pipeline for a polynomial linear system: the semigroup is extended to
     the relation degree by resuming the subduction that presented it."""
-    presentation, _, ring = _present(space, flag, max_degree, cap_monomials)
+    presentation, ring = _present(space, flag, max_degree, cap_monomials)
     depth = relation_degree or default_relation_degree(presentation)
     gamma = ring.semigroup(max(max_degree, depth))
     return run_degeneration(presentation, gamma, depth, matrix_cap)
@@ -670,13 +665,13 @@ def subsystem_compatibility(
     """A single weight vector valid for both degenerations, plus body inclusion."""
     if not is_subspace(subsystem, space):
         raise ValidationError("the subsystem is not contained in the ambient system")
-    systems = [_present(v, flag, max_degree, cap_monomials)[:2] for v in (space, subsystem)]
+    systems = [_present(v, flag, max_degree, cap_monomials) for v in (space, subsystem)]
     depth = relation_degree or max(default_relation_degree(p) for p, _ in systems)
     union = set().union(
         *(_difference_points(p, kernel_ideal_truncated(p, depth, matrix_cap)) for p, _ in systems)
     )
     shared_pi = choose_weight_vector(union, dim=flag.dim)
-    body_big, body_small = (okounkov_body_estimate(gamma) for _, gamma in systems)
+    body_big, body_small = (okounkov_body_estimate(r.semigroup(max_degree)) for _, r in systems)
     inclusion = all(body_big.contains(v) for v in body_small.vertices)
     return CompatibilityRecord(shared_pi, inclusion, max_degree, depth)
 

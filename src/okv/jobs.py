@@ -46,6 +46,9 @@ class JobSpec:
             raise ValidationError("max_degree must be at least 1")
         if self.relation_degree is not None and self.relation_degree < 1:
             raise ValidationError("relation_degree must be at least 1")
+        for cap in ("cap_monomials", "cap_matrix"):
+            if getattr(self, cap) < 1:
+                raise ValidationError(f"{cap} must be at least 1")
         if has_generators:
             gens = self.semigroup_generators
             if not gens:

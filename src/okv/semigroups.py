@@ -24,7 +24,8 @@ value while that value is in Gamma_m.  A nonzero remainder, made monic, is
 a new generator.  Its value is not a sum of lower values, so the
 generators this loop produces are exactly the minimal generators of Gamma.
 Values are packed into single ints (`_Packing`) so that the sumsets and
-fibre joins are int additions.
+fibre joins are int additions.  The same products, tail-reduced, give each
+generator its canonical lift, the element of V^m's reduced basis it leads.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .echelon import subtract
 from .errors import InvariantError, ResourceCapError, ValidationError
 from .polynomials import Polynomial, polynomial_field
 from .polytopes import RationalPolytope, convex_hull, lattice_points
-from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, product_space
+from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace
 from .valuation import FlagSpec, nu
 
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
@@ -154,8 +155,8 @@ class Subduction:
     pivots are monic, so every product of generators has lead coefficient 1.
     Products of generators are memoised per (degree, value), along the first
     generator that reaches each value.  `cap_monomials` bounds the sumset
-    candidates of each degree and the terms of the memoised products and of
-    every subduction remainder, before they are formed.
+    candidates of each degree and the terms of the memoised products, of
+    every subduction remainder and of every lift, before they are formed.
     """
 
     def __init__(self, space: SectionSpace, flag: FlagSpec,
@@ -250,6 +251,13 @@ class Subduction:
                 subtract(pair, self.one, self._times(j, m, v).terms)
                 self._subduct(m, pair)
 
+    def _cancel(self, m: int, f: dict, e: tuple, v: int) -> None:
+        """Cancel the term of f at exponent e (packed value v, in the slice of
+        degree m) by the memoised product of value v: only exponents > e change."""
+        product = self._product(m, v)
+        self._charge(len(f) + len(product.terms))
+        subtract(f, f[e], product.terms)
+
     def _subduct(self, m: int, f: dict) -> None:
         """Reduce f against the slice of degree m; a nonzero remainder, made
         monic, becomes a new generator of degree m."""
@@ -259,9 +267,7 @@ class Subduction:
             v = pack(lead)
             if v not in current:
                 break
-            product = self._product(m, v)
-            self._charge(len(f) + len(product.terms))
-            subtract(f, f[lead], product.terms)
+            self._cancel(m, f, lead, v)
         else:
             return
         scale = f[lead] ** -1
@@ -269,21 +275,24 @@ class Subduction:
             m, v, Polynomial.from_dict(self.variables, {e: c * scale for e, c in f.items()})
         )
 
+    def lift(self, m: int, u: tuple) -> Polynomial:
+        """The lift of the generator (m, u): the product of value u, tail-reduced
+        in ascending order against the slice of degree m, which leaves V^m's
+        reduced-basis element with lead u (0 at every other point of the slice)."""
+        pack, current = self.packing.pack, self.slices[m]
+        f, w = dict(self._product(m, pack(u)).terms), u
+        while True:
+            w = min((e for e in f if e > w and pack(e) in current), default=None)
+            if w is None:
+                return Polynomial.from_dict(self.variables, f)
+            self._cancel(m, f, w, pack(w))
+
     def _add_generator(self, m: int, v: int, poly: Polynomial) -> None:
         self.slices[m][v] = 1 << len(self.gens)
         self.gens.append((m, v))
         self.polys.append(poly)
         self.products[(m, v)] = poly
         self.terms += len(poly.terms)
-
-
-def power_tower(space: SectionSpace, cap_monomials: int = DEFAULT_MONOMIAL_CAP):
-    """V, V^2, V^3, ...: lazily, each power once, as the last one times V.  A
-    caller may take a prefix and resume the same generator for more."""
-    power = space
-    while True:
-        yield power
-        power = product_space(power, space, cap_monomials=cap_monomials)
 
 
 def build_gamma(

@@ -37,12 +37,6 @@ class SectionSpace:
     def leading_exponents(self) -> list[tuple]:
         return [p.leading_exponent() for p in self.basis]
 
-    def element_with_leading_exponent(self, exponent: tuple) -> Polynomial:
-        for p in self.basis:
-            if p.leading_exponent() == tuple(exponent):
-                return p
-        raise ValidationError(f"no basis element with leading exponent {exponent}")
-
 
 def reduce_to_basis(
     spanning: Sequence[Polynomial],

@@ -115,6 +115,17 @@ def product_loop_slices(space, flag, max_degree):
     return [frozenset(s) for s in slices]
 
 
+def oracle_lifts(space, generators):
+    """The canonical lift of each graded generator (m, u) as okv read it before
+    subduction lifted it: the element of the reduced basis of the power space
+    V^m with leading exponent u, one product_space per degree."""
+    powers = [space]
+    for _ in range(1, max((m for m, _ in generators), default=1)):
+        powers.append(product_space(powers[-1], space))
+    by_lead = [{p.leading_exponent(): p for p in power.basis} for power in powers]
+    return [by_lead[m - 1][tuple(u)] for m, u in generators]
+
+
 def oracle_sumset_slices(generators, max_degree):
     """Degreewise natural-number combinations of graded generators."""
     dim = len(generators[0][1])

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tower", "modp"])
+@pytest.mark.parametrize("workload", ["kernel", "tower", "modp"])
 def test_bench_run_ends_with_its_json_result(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0"],

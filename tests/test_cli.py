@@ -357,3 +357,44 @@ def test_capped_power_exits_two_before_expanding(tmp_path, capsys):
     result = run_job_file(tmp_path, capsys, job)
     assert_cap_exit_within(0.5, *result, started)
     assert "expanding a power" in result[2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "--fixture", "bott-samelson-u", "--max-degree", "two"], "invalid int value"),
+    (["bogus"], "invalid choice"),
+    (["check", "normality", "--fixture", "bott-samelson-u", "--frobnicate"],
+     "unrecognized arguments"),
+])
+def test_usage_errors_exit_one(capsys, argv, message):
+    # exit 2 is kept for a job stopped early at a cap
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == 1 and not captured.out
+    assert "usage: okv" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["degenerate", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0 and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--cap-monomials", "-5"), ("--cap-monomials", "0")])
+def test_monomial_cap_below_one_exits_one(capsys, flag, value):
+    code, out, err = run_main(capsys, "semigroup", "--fixture", "bott-samelson-u", flag, value)
+    assert_validation_exit(code, out, err)
+    assert "cap_monomials must be at least 1" in err
+
+
+def test_matrix_cap_below_one_exits_one(tmp_path, capsys):
+    code, out, err = run_main(
+        capsys, "semigroup", "--fixture", "bott-samelson-u", "--cap-matrix", "0"
+    )
+    assert_validation_exit(code, out, err)
+    assert "cap_matrix must be at least 1" in err
+    job = {"variables": ["x"], "sections": ["x"], "max_degree": 1, "cap_matrix": -1}
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "cap_matrix must be at least 1" in err

@@ -1,11 +1,15 @@
-"""Value semigroups by degree-truncated subduction.
+"""Value semigroups and canonical lifts by degree-truncated subduction.
 
 `build_gamma` finds a section space's semigroup and its minimal generators
-by subduction, with no power space built.  It is compared with the path it
-replaced, the valuation image of every power space (`product_loop_slices`),
-and with the sumset oracles of tests/oracles.py, on random small section
-spaces in two and three variables over Q and F_32003.
+by subduction, and `Subduction.lift` lifts each generator, with no power
+space built.  They are compared with the paths they replaced, the valuation
+image of every power space (`product_loop_slices`) and the reduced basis of
+every power space (`oracle_lifts`), and with the sumset oracles of
+tests/oracles.py, on random small section spaces in two and three variables
+over Q and F_32003 and on every section fixture.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ, PrimeField
+from okv.jobs import fixture_names, load_fixture
 from okv.polynomials import Polynomial, parse_polynomial
 from okv.semigroups import (
     GradedSemigroup,
@@ -27,6 +32,7 @@ from okv.valuation import FlagSpec
 
 from oracles import (
     oracle_degree_one_generation,
+    oracle_lifts,
     oracle_minimal_generators,
     oracle_sumset_slices,
     product_loop_slices,
@@ -50,8 +56,15 @@ def section_spaces(draw):
     return reduce_to_basis(polys), FlagSpec(variables), draw(st.integers(2, 4))
 
 
+def assert_lifts_match_oracle(ring, space, gamma):
+    lifts = [ring.lift(m, u) for m, u in gamma.generators]
+    assert lifts == oracle_lifts(space, gamma.generators)
+
+
 def check_against_oracles(space, flag, max_degree):
-    gamma = build_gamma(space, flag, max_degree)
+    ring = Subduction(space, flag)
+    gamma = ring.semigroup(max_degree)
+    assert_lifts_match_oracle(ring, space, gamma)
     slices = product_loop_slices(space, flag, max_degree)
     assert list(gamma.slices) == slices
     assert minimal_generators(gamma) == oracle_minimal_generators(slices)
@@ -85,9 +98,29 @@ def test_resumed_subduction_equals_a_fresh_one(case, first):
     early = ring.semigroup(min(first, max_degree))
     assert early == build_gamma(space, flag, early.max_degree)
     gamma = ring.semigroup(max_degree + 2)  # past the first packing bound
-    fresh = build_gamma(space, flag, max_degree + 2)
+    fresh_ring = Subduction(space, flag)
+    fresh = fresh_ring.semigroup(max_degree + 2)
     assert gamma == fresh and gamma.generators == fresh.generators
     assert ring.semigroup(early.max_degree).generators == early.generators
+    lifts = [ring.lift(m, u) for m, u in gamma.generators]
+    assert lifts == [fresh_ring.lift(m, u) for m, u in gamma.generators]
+    # the power-space oracle only to max_degree: V^(max_degree + 2) can be large
+    low = [g for g in gamma.generators if g[0] <= max_degree]
+    assert lifts[: len(low)] == oracle_lifts(space, low)
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+@pytest.mark.parametrize("max_degree", [2, 3, 4, 6])
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if not load_fixture(n).is_abstract]
+)
+def test_fixture_lifts_match_power_spaces(name, max_degree, field):
+    job = load_fixture(name, max_degree)
+    if field != "Q":
+        job = dataclasses.replace(job, field_spec={"Fp": 32003})
+    space = job.section_space()
+    ring = Subduction(space, job.flag())
+    assert_lifts_match_oracle(ring, space, ring.semigroup(max_degree))
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,6 +142,20 @@ def test_stored_terms_cap_trips_before_the_candidate_cap():
     with pytest.raises(ResourceCapError, match="in subduction: 68 > 60"):
         build_gamma(space, flag, 2, cap_monomials=60)
     assert len(build_gamma(space, flag, 2).generators) == 5
+
+
+def test_lift_charges_the_monomial_cap():
+    variables = ("x", "y")
+    space = reduce_to_basis([parse_polynomial(s, variables) for s in
+                             ("1", "x", "y + x*y^3*(1+y)^3", "x*y")])
+    flag = FlagSpec(variables)
+    # the semigroup to degree 4 stays within 170 stored terms; tail-reducing
+    # the lift of (4, (2, 7)) does not
+    ring = Subduction(space, flag, cap_monomials=170)
+    gamma = ring.semigroup(4)
+    with pytest.raises(ResourceCapError, match="in subduction: 172 > 170"):
+        for m, u in gamma.generators:
+            ring.lift(m, u)
 
 
 def test_subduction_rejects_a_basis_without_distinct_monic_pivots():

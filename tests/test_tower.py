@@ -1,19 +1,19 @@
-"""One semigroup, one generator set and at most one power tower per job.
+"""One semigroup, one generator set and no power tower per job.
 
 The semigroup of a section space comes from subduction with its minimal
-generators; abstract and hand-built semigroups find theirs by a membership
-test run once per semigroup.  Both are compared with the paths they
-replaced: the product_space loop for the slices, and the sumset generators
-and iterated-sumset generation report of tests/oracles.py, over random
-generator sets, random hand-built slices and every section fixture over Q
-and F_32003.  The power tower is left only for the canonical lifts of a
-presentation, up to its largest generator degree.
+generators, and the canonical lifts of a presentation come from the same
+subduction; abstract and hand-built semigroups find their generators by a
+membership test run once per semigroup.  Both are compared with the paths
+they replaced: the product_space loop for the slices, and the sumset
+generators and iterated-sumset generation report of tests/oracles.py, over
+random generator sets, random hand-built slices and every section fixture
+over Q and F_32003.  No command makes a product_space call.
 """
 
 import dataclasses
+import json
 import sys
 from functools import cached_property
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +36,7 @@ from okv.semigroups import (
     gamma_from_generators,
     gamma_from_slices,
     minimal_generators,
-    power_tower,
 )
-from okv.spaces import product_space
 
 from oracles import (
     oracle_degree_one_generation,
@@ -117,15 +115,6 @@ def test_section_fixtures_match_product_loop_and_oracles(name, field):
     assert_matches_oracles(gamma)
 
 
-def test_power_tower_resumes_where_it_stopped(bott_samelson_space):
-    tower = power_tower(bott_samelson_space)
-    prefix = list(islice(tower, 2))
-    third = next(tower)
-    square = product_space(bott_samelson_space, bott_samelson_space)
-    assert prefix == [bott_samelson_space, square]
-    assert third == product_space(square, bott_samelson_space)
-
-
 @pytest.mark.parametrize("max_degree, relation_degree", [(2, 4), (3, 2), (2, None)])
 def test_degenerate_reads_one_tower_like_two_builds(
     counterexample_space, counterexample_flag, max_degree, relation_degree
@@ -156,42 +145,43 @@ def count_product_spaces(monkeypatch):
     return calls
 
 
-def test_degenerate_builds_each_power_once(monkeypatch):
-    # bott-samelson-u is generated in degree one: no power is needed for a lift
-    calls = count_product_spaces(monkeypatch)
-    job = dataclasses.replace(load_fixture("bott-samelson-u", 6), relation_degree=2)
-    cli.run("degenerate", job)
-    assert calls == []
+def section_command(command, what, fixture, max_degree=4, **overrides):
+    return pytest.param(command, what, fixture, max_degree, overrides,
+                        id=f"{command}-{what}-{fixture}")
 
 
-def test_degenerate_builds_powers_to_the_largest_generator_degree(monkeypatch):
-    calls = count_product_spaces(monkeypatch)
-    job = dataclasses.replace(load_fixture("counterexample-p1xp1", 4), relation_degree=6)
-    report = cli.run("degenerate", job)
-    grades = [g["degree"][0] for g in report["result"]["presentation"]["generators"]]
-    assert max(grades) == 4
-    assert calls == [2, 3, 4]
-
-
-@pytest.mark.parametrize("command, what, fixture", [
-    ("semigroup", None, "bott-samelson-u"),
-    ("semigroup", None, "counterexample-p1xp1"),
-    ("body", None, "bott-samelson-m"),
-    ("check", "normality", "counterexample-p1xp1"),
-    ("check", "restriction", "bott-samelson-u"),
+@pytest.mark.parametrize("command, what, fixture, max_degree, overrides", [
+    section_command("semigroup", None, "bott-samelson-u"),
+    section_command("semigroup", None, "counterexample-p1xp1"),
+    section_command("body", None, "bott-samelson-m"),
+    section_command("degenerate", None, "bott-samelson-u", 6, relation_degree=2),
+    # generators up to degree 4, each lifted by the subduction
+    section_command("degenerate", None, "counterexample-p1xp1", relation_degree=6),
+    section_command("check", "normality", "counterexample-p1xp1"),
+    section_command("check", "restriction", "bott-samelson-u", restriction_index=1),
+    section_command("check", "compatibility", "bott-samelson-u", None,
+                    subsystem=("1", "x", "y", "z")),
 ])
-def test_semigroup_commands_build_no_power(monkeypatch, command, what, fixture):
+def test_section_commands_make_no_product_space_call(
+    monkeypatch, command, what, fixture, max_degree, overrides
+):
     calls = count_product_spaces(monkeypatch)
-    job = dataclasses.replace(load_fixture(fixture, 4), restriction_index=1)
+    job = dataclasses.replace(load_fixture(fixture, max_degree), **overrides)
     cli.run(command, job, what)
     assert calls == []
 
 
-def test_compatibility_builds_each_tower_once(monkeypatch):
-    calls = count_product_spaces(monkeypatch)
-    job = dataclasses.replace(load_fixture("bott-samelson-u"), subsystem=("1", "x", "y", "z"))
-    cli.run("check", job, "compatibility")
-    assert calls == []
+def test_lifts_stay_inside_the_monomial_cap_of_the_semigroup(capsys):
+    # the lifts fit in a cap that the power spaces V^m do not (391 terms > 300)
+    argv = ["degenerate", "--fixture", "counterexample-p1xp1",
+            "--max-degree", "6", "--relation-degree", "6"]
+    assert cli.main(argv) == 0
+    uncapped = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--cap-monomials", "300"]) == 0
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["job"].pop("cap_monomials") == 300
+    uncapped["job"].pop("cap_monomials")
+    assert capped == uncapped
 
 
 def count_generator_searches(monkeypatch):
