@@ -72,7 +72,7 @@ def _run_body(job: JobSpec) -> dict:
         "estimate": "inner approximation; exact when generated in degree one up to the bound",
     }
     if all(c.denominator == 1 for v in body.vertices for c in v):
-        payload["normalized_volume"] = normalized_volume(body)
+        payload["normalized_volume"] = normalized_volume(body, job.cap_monomials)
         payload["lattice_count"] = len(lattice_points(body, 1, job.cap_monomials))
     return payload
 

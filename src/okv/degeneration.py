@@ -20,7 +20,7 @@ counts, before any monomial of it is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .errors import InvariantError, ResourceCapError, ValidationError
@@ -137,6 +137,9 @@ class Presentation:
     generators: tuple[PresentationGenerator, ...]
     model_variables: tuple[str, ...]
     field: object
+    _monomials: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -153,6 +156,13 @@ class Presentation:
     @property
     def degrees(self) -> tuple[GradedPoint, ...]:
         return tuple(g.degree for g in self.generators)
+
+    def degree_monomials(self, degree: int) -> tuple[list, dict]:
+        """`_degree_monomials`, enumerated once per degree and shared by every
+        kernel and flatness pass over this presentation."""
+        if degree not in self._monomials:
+            self._monomials[degree] = _degree_monomials(self, degree)
+        return self._monomials[degree]
 
     def generator_by_degree(self, degree: GradedPoint) -> PresentationGenerator:
         for g in self.generators:
@@ -269,19 +279,6 @@ def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, di
     return monomials, {a: j for j, a in enumerate(monomials)}
 
 
-class _MonomialLists(dict):
-    """`_degree_monomials` of each degree, enumerated once and shared by the
-    kernel and flatness passes of one degeneration."""
-
-    def __init__(self, presentation: Presentation):
-        super().__init__()
-        self.presentation = presentation
-
-    def __missing__(self, degree: int) -> tuple[list, dict]:
-        self[degree] = _degree_monomials(self.presentation, degree)
-        return self[degree]
-
-
 class _Evaluator:
     """Memoized evaluation of label monomials in the polynomial model."""
 
@@ -327,7 +324,6 @@ def kernel_ideal_truncated(
     presentation: Presentation,
     relation_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    monomial_lists: _MonomialLists | None = None,
 ) -> RelationSet:
     """Minimal generators of the kernel ideal up to the truncation degree.
 
@@ -337,20 +333,18 @@ def kernel_ideal_truncated(
     survivors are put in reduced echelon form, so the output is canonical.
     Monomial columns are ordered by (value, exponent), which places each
     relation's pivot inside its initial form.  Every kernel dimension is
-    kept for the flatness check, and so are the monomial lists when the
-    caller passes `monomial_lists`.
+    kept for the flatness check.
     """
     if relation_degree < 1:
         raise ValidationError("relation truncation degree must be at least 1")
     field = presentation.field
     labels = presentation.labels
     evaluate = _Evaluator(presentation)
-    lists = _MonomialLists(presentation) if monomial_lists is None else monomial_lists
     relations: list[Relation] = []
     leads: list[tuple] = []  # each relation's pivot monomial
     kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
-        monomials, mon_index = lists[degree]
+        monomials, mon_index = presentation.degree_monomials(degree)
         multiples = _multiples(relations, presentation.grades, degree)
         # The column order is a monomial order, so b * relation has pivot
         # b + lead: multiples with distinct pivots are independent kernel
@@ -498,7 +492,6 @@ def flatness_report(
     gamma: GradedSemigroup,
     check_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    monomial_lists: _MonomialLists | None = None,
 ) -> FlatnessReport:
     """Degreewise Hilbert comparison of the generic fiber, the special fiber,
     and the semigroup algebra, plus a binomial-shape check on the special fiber.
@@ -506,7 +499,7 @@ def flatness_report(
     The generic fiber is not eliminated again: its degree-d dimension is the
     number of label monomials less the kernel dimension the relation pass
     recorded.  The special fiber is the echelon form of the initial-form
-    multiples.  `monomial_lists` are the kernel pass's, when it shares them.
+    multiples.
     """
     if relation_set.truncation_degree < check_degree:
         raise ValidationError("relations were not computed far enough")
@@ -517,11 +510,10 @@ def flatness_report(
     if len(relation_set.kernel_dims) <= check_degree:
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     field = presentation.field
-    lists = _MonomialLists(presentation) if monomial_lists is None else monomial_lists
     rows = []
     binomial = True
     for degree in range(0, check_degree + 1):
-        monomials, mon_index = lists[degree]
+        monomials, mon_index = presentation.degree_monomials(degree)
         multiples = _multiples(relation_set.relations, presentation.grades, degree)
         _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
         special = echelon.Echelon()
@@ -590,11 +582,10 @@ def run_degeneration(
     relation_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
-    lists = _MonomialLists(presentation)  # each degree enumerated once per job
-    kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap, lists)
+    kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap)
     pi = weight_vector_for(presentation, kernel)
     enriched = rees_relations(kernel, presentation, pi)
-    flatness = flatness_report(presentation, enriched, gamma, relation_degree, matrix_cap, lists)
+    flatness = flatness_report(presentation, enriched, gamma, relation_degree, matrix_cap)
     weights = tuple(pi.weight(g.degree) for g in presentation.generators)
     return DegenerationReport(
         presentation,

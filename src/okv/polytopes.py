@@ -1,14 +1,16 @@
 """Exact rational polytopes: V-representation, H-representation, lattice points.
 
-Hulls are computed over the rationals with no floating point anywhere.
-The affine span is reduced first, so the hull is full-dimensional in span
-coordinates.  There one beneath–beyond pass builds it: start from a simplex
-on affinely independent input points, and for each further point delete the
-boundary simplices it sees and cone the horizon ridges to it.  Coplanar
-simplices merge into one facet by their primitive halfspace, and a point is
-a vertex when its tight facet normals have full rank.  Both representations
-are cross-validated on construction.  Lattice points are scanned with
-integer arithmetic only.
+Hulls are computed over the rationals with no floating point anywhere, in
+ambient coordinates.  The affine hull of the input is found first, together
+with its equality normals; one beneath–beyond pass then builds the hull
+inside it: start from a simplex on affinely independent input points, and
+for each further point delete the boundary simplices it sees and cone the
+horizon ridges to it.  Each boundary hyperplane is taken orthogonal to the
+equality normals, so coplanar simplices merge into one facet by their
+primitive halfspace, and a point is a vertex when its tight facet normals
+span the affine hull's directions.  Both representations are
+cross-validated on construction.  Faces on coordinate hyperplanes are read
+off the vertices.  Lattice points are scanned with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -132,28 +134,6 @@ def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool
 # ---------------------------------------------------------------------------
 # Hull construction.
 
-def _affine_basis(points: list[Point]) -> tuple[Point, list[list[Fraction]]]:
-    base = points[0]
-    diffs = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    basis, _ = linalg.rref(diffs, len(base))
-    return base, basis
-
-
-def _span_coordinates(points, base, basis) -> list[tuple[Fraction, ...]]:
-    """Coordinates of each point in the affine basis (rows of `basis`)."""
-    if not basis:
-        return [() for _ in points]
-    matrix = [[basis[j][i] for j in range(len(basis))] for i in range(len(base))]
-    coords = []
-    for p in points:
-        rhs = [c - b for c, b in zip(p, base)]
-        sol = linalg.solve_unique(matrix, rhs)
-        if sol is None:
-            raise InvariantError("point outside its own affine span")
-        coords.append(tuple(sol))
-    return coords
-
-
 def _primitive(normal, offset):
     """Clear denominators and divide by the gcd; orientation is preserved."""
     denoms = [v.denominator for v in normal] + [offset.denominator]
@@ -178,40 +158,43 @@ def _affine_rank(points) -> int:
     return linalg.rank(diffs, len(points[0]))
 
 
-def _oriented_plane(coords, face, inside, k):
-    """Hyperplane through the k points `face`, with `inside` strictly below.
+def _oriented_plane(pts, face, inside, equalities):
+    """Hyperplane through the points `face` inside the affine hull, with
+    `inside` strictly below.
 
-    `inside` is k+1 times the centroid of the starting simplex, an interior
-    point of every hull the pass builds.
+    The normal is orthogonal to the face and to every equality normal, so it
+    lies in the hull's direction space.  `inside` is k+1 times the centroid
+    of the starting simplex, an interior point of every hull the pass builds.
     """
-    pts = [coords[i] for i in face]
-    diffs = [[a - b for a, b in zip(q, pts[0])] for q in pts[1:]]
-    normal = linalg.nullspace(diffs, k, Fraction(1))[0]
-    offset = _dot(normal, pts[0])
-    if _dot(normal, inside) > (k + 1) * offset:
+    ridge = [pts[i] for i in face]
+    diffs = [[a - b for a, b in zip(q, ridge[0])] for q in ridge[1:]]
+    normal = linalg.nullspace(diffs + equalities, len(inside), Fraction(1))[0]
+    offset = _dot(normal, ridge[0])
+    if _dot(normal, inside) > (len(face) + 1) * offset:
         return [-v for v in normal], -offset
     return normal, offset
 
 
-def _beneath_beyond(coords: list[tuple], k: int) -> tuple[list[int], list[Halfspace]]:
-    """Vertex indices and primitive facets of the hull of points spanning Q^k.
+def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], list[Halfspace]]:
+    """Vertex indices and primitive facets of the hull of points whose
+    affine hull has dimension k and equality normals `equalities`.
 
     The boundary is kept as simplices, each a sorted tuple of k point
     indices.  A point sees a simplex when it lies strictly beyond its
     hyperplane; a point on or beneath every hyperplane lies in the hull.
     """
     simplex = [0]
-    for i in range(1, len(coords)):
+    for i in range(1, len(pts)):
         if len(simplex) == k + 1:
             break
-        if _affine_rank([coords[j] for j in simplex] + [coords[i]]) == len(simplex):
+        if _affine_rank([pts[j] for j in simplex] + [pts[i]]) == len(simplex):
             simplex.append(i)
-    inside = [sum(coords[i][t] for i in simplex) for t in range(k)]
+    inside = [sum(pts[i][t] for i in simplex) for t in range(len(pts[0]))]
     boundary = {}
     for skip in simplex:
         face = tuple(i for i in simplex if i != skip)
-        boundary[face] = _oriented_plane(coords, face, inside, k)
-    for idx, p in enumerate(coords):
+        boundary[face] = _oriented_plane(pts, face, inside, equalities)
+    for idx, p in enumerate(pts):
         if idx in simplex:
             continue
         visible = [f for f, (n, c) in boundary.items() if _dot(n, p) > c]
@@ -222,44 +205,17 @@ def _beneath_beyond(coords: list[tuple], k: int) -> tuple[list[int], list[Halfsp
                 horizon ^= {face[:j] + face[j + 1:]}
         for ridge in horizon:
             face = tuple(sorted(ridge + (idx,)))
-            boundary[face] = _oriented_plane(coords, face, inside, k)
+            boundary[face] = _oriented_plane(pts, face, inside, equalities)
     facets = sorted({_primitive(n, c) for n, c in boundary.values()})
     normals = [([Fraction(v) for v in n], c) for n, c in facets]  # rref divides
+    # The facet normals lie in the k-dimensional direction space, so a point
+    # is a vertex exactly when its tight normals span it.
     vertex_ids = []
     for idx in sorted({i for face in boundary for i in face}):
-        tight = [n for n, c in normals if _dot(n, coords[idx]) == c]
-        if linalg.rank(tight, k) == k:
+        tight = [n for n, c in normals if _dot(n, pts[idx]) == c]
+        if linalg.rank(tight, len(pts[0])) == k:
             vertex_ids.append(idx)
     return vertex_ids, facets
-
-
-def _lift_halfspaces(span_halfspaces, base, basis, ambient_dim):
-    """Map halfspace constraints on span coordinates back to ambient space."""
-    k = len(basis)
-    lifted = []
-    if k:
-        gram = [[_dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-        # rows of A recover span coordinates: c_i(x) = <A_i, x - base>
-        a_rows = []
-        for i in range(k):
-            unit = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-            col = linalg.solve_unique(gram, unit)
-            if col is None:
-                raise InvariantError("affine basis gram matrix is singular")
-            a_rows.append([
-                sum(col[j] * basis[j][t] for j in range(k)) for t in range(ambient_dim)
-            ])
-        for normal, offset in span_halfspaces:
-            amb = [sum(normal[j] * a_rows[j][t] for j in range(k)) for t in range(ambient_dim)]
-            off = offset + _dot(amb, base)
-            lifted.append(_primitive(tuple(Fraction(v) for v in amb), Fraction(off)))
-    # equalities cutting out the affine hull, as opposite halfspace pairs
-    kernel = linalg.nullspace([list(row) for row in basis], ambient_dim, Fraction(1))
-    for w in kernel:
-        off = _dot(w, base)
-        lifted.append(_primitive(tuple(Fraction(v) for v in w), Fraction(off)))
-        lifted.append(_primitive(tuple(Fraction(-v) for v in w), Fraction(-off)))
-    return sorted(set(lifted))
 
 
 def convex_hull(points) -> RationalPolytope:
@@ -270,17 +226,24 @@ def convex_hull(points) -> RationalPolytope:
     ambient_dim = len(pts[0])
     if any(len(p) != ambient_dim for p in pts):
         raise ValidationError("points of mixed dimension")
-    base, basis = _affine_basis(pts)
+    base = pts[0]
+    diffs = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
+    basis, _ = linalg.rref(diffs, ambient_dim)
     k = len(basis)
-    coords = _span_coordinates(pts, base, basis)
+    equalities = linalg.nullspace(basis, ambient_dim, Fraction(1))
     if k == 0:
         vertex_ids = [0]
-        span_facets: list[Halfspace] = []
+        halfspaces = set()
     else:
-        vertex_ids, span_facets = _beneath_beyond(coords, k)
-    halfspaces = _lift_halfspaces(span_facets, base, basis, ambient_dim)
+        vertex_ids, facets = _beneath_beyond(pts, k, equalities)
+        halfspaces = set(facets)
+    # equalities cutting out the affine hull, as opposite halfspace pairs
+    for w in equalities:
+        off = _dot(w, base)
+        halfspaces.add(_primitive(w, off))
+        halfspaces.add(_primitive([-v for v in w], -off))
     vertices = tuple(sorted(pts[i] for i in vertex_ids))
-    poly = RationalPolytope(ambient_dim, vertices, tuple(halfspaces), k)
+    poly = RationalPolytope(ambient_dim, vertices, tuple(sorted(halfspaces)), k)
     _validate(poly)
     return poly
 
@@ -379,28 +342,37 @@ def lattice_points(
 
 
 def face_restriction(poly: RationalPolytope, r: int) -> RationalPolytope:
-    """Slice where the first r coordinates vanish, in the last d-r coordinates."""
+    """Face where the first r coordinates vanish, in the last d-r coordinates.
+
+    The polytope must have no negative coordinate among the first r of any
+    vertex; then each x_i >= 0 is valid on it, the slice x_1..x_r = 0 is a
+    face, and the face is the hull of the vertices lying on it.
+    """
     if not 0 <= r <= poly.ambient_dim:
         raise ValidationError(f"face index {r} out of range")
     if r == 0:
         return poly
-    if poly.is_empty:
+    if any(c < 0 for v in poly.vertices for c in v[:r]):
+        raise ValidationError(f"a vertex has a negative coordinate among the first {r}")
+    on_face = [v[r:] for v in poly.vertices if not any(v[:r])]
+    if not on_face:
         return empty_polytope(poly.ambient_dim - r)
-    sliced = [(n[r:], c) for n, c in poly.halfspaces]
-    return polytope_from_halfspaces(sliced, poly.ambient_dim - r)
+    return convex_hull(on_face)
 
 
 def polytopes_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
     return a.ambient_dim == b.ambient_dim and a.vertices == b.vertices
 
 
-def normalized_volume(poly: RationalPolytope) -> int:
+def normalized_volume(
+    poly: RationalPolytope, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+) -> int:
     """Lattice-normalized volume (dimension factorial times the volume).
 
     Computed as the top finite difference of the lattice-point counts of the
     first dilations, so it requires integer vertices; full-dimensional
     comparisons across examples use this together with vertex and lattice
-    counts.
+    counts.  Each dilation's scan is bounded by `cap_monomials`.
     """
     if poly.is_empty:
         return 0
@@ -409,7 +381,9 @@ def normalized_volume(poly: RationalPolytope) -> int:
     d = poly.affine_dim
     if d == 0:
         return 1
-    counts = [1] + [len(lattice_points(poly, k)) for k in range(1, d + 1)]
+    counts = [1] + [
+        len(lattice_points(poly, k, cap_monomials)) for k in range(1, d + 1)
+    ]
     total = 0
     sign = 1 if d % 2 == 0 else -1
     binom = 1

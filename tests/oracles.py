@@ -6,6 +6,7 @@ expected values are computed along a second, unrelated path.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from okv.polynomials import Polynomial
 from okv.spaces import product_space
@@ -307,3 +308,109 @@ def dense_flatness(presentation, relations, gamma, check_degree):
         rows.append((degree, generic, len(monomials) - len(special),
                      len(gamma.slice(degree))))
     return rows, binomial
+
+
+# ---------------------------------------------------------------------------
+# The span-and-lift hull okv used before it built hulls in ambient
+# coordinates, on the dense elimination above: every point is solved into
+# coordinates of its affine span, the hull is built there full-dimensional,
+# and each facet is lifted back through the inverted Gram matrix.
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(normal, offset):
+    scale = 1
+    for d in [v.denominator for v in normal] + [offset.denominator]:
+        scale = scale * d // gcd(scale, d)
+    ints = [int(v * scale) for v in normal]
+    off = offset * scale
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    g = gcd(g, abs(off.numerator)) if off.denominator == 1 else g
+    if g > 1:
+        ints = [v // g for v in ints]
+        off = off / g
+    return tuple(ints), off
+
+
+def _rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[0])
+
+
+def _span_plane(coords, face, inside, k):
+    pts = [coords[i] for i in face]
+    diffs = [[a - b for a, b in zip(q, pts[0])] for q in pts[1:]]
+    normal = dense_nullspace(diffs, k, Fraction(1))[0]
+    offset = _dot(normal, pts[0])
+    if _dot(normal, inside) > (k + 1) * offset:
+        return [-v for v in normal], -offset
+    return normal, offset
+
+
+def _span_beneath_beyond(coords, k):
+    simplex = [0]
+    for i in range(1, len(coords)):
+        if len(simplex) == k + 1:
+            break
+        chosen = [coords[j] for j in simplex] + [coords[i]]
+        diffs = [[a - b for a, b in zip(p, chosen[0])] for p in chosen[1:]]
+        if _rank(diffs, k) == len(simplex):
+            simplex.append(i)
+    inside = [sum(coords[i][t] for i in simplex) for t in range(k)]
+    boundary = {}
+    for skip in simplex:
+        face = tuple(i for i in simplex if i != skip)
+        boundary[face] = _span_plane(coords, face, inside, k)
+    for idx, p in enumerate(coords):
+        if idx in simplex:
+            continue
+        visible = [f for f, (n, c) in boundary.items() if _dot(n, p) > c]
+        horizon = set()
+        for face in visible:
+            del boundary[face]
+            for j in range(k):
+                horizon ^= {face[:j] + face[j + 1:]}
+        for ridge in horizon:
+            face = tuple(sorted(ridge + (idx,)))
+            boundary[face] = _span_plane(coords, face, inside, k)
+    facets = sorted({_primitive(n, c) for n, c in boundary.values()})
+    normals = [[Fraction(v) for v in n] for n, _ in facets]
+    vertex_ids = []
+    for idx in sorted({i for face in boundary for i in face}):
+        tight = [n for n, (_, c) in zip(normals, facets) if _dot(n, coords[idx]) == c]
+        if _rank(tight, k) == k:
+            vertex_ids.append(idx)
+    return vertex_ids, facets
+
+
+def span_lift_hull(points):
+    """(vertices, halfspaces, affine_dim) of the hull, along the span path."""
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    base, dim = pts[0], len(pts[0])
+    basis, _ = dense_rref([[c - b for c, b in zip(p, base)] for p in pts[1:]], dim)
+    k = len(basis)
+    columns = [[basis[j][i] for j in range(k)] for i in range(dim)]
+    coords = [
+        tuple(solve_exact(columns, [c - b for c, b in zip(p, base)])) if k else ()
+        for p in pts
+    ]
+    vertex_ids, span_facets = _span_beneath_beyond(coords, k) if k else ([0], [])
+    lifted = []
+    if k:
+        gram = [[_dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+        inverse = [solve_exact(gram, [Fraction(int(i == j)) for j in range(k)])
+                   for i in range(k)]
+        a_rows = [[sum(inverse[i][j] * basis[j][t] for j in range(k)) for t in range(dim)]
+                  for i in range(k)]
+        for normal, offset in span_facets:
+            amb = [sum(normal[j] * a_rows[j][t] for j in range(k)) for t in range(dim)]
+            lifted.append(_primitive(amb, Fraction(offset + _dot(amb, base))))
+    for w in dense_nullspace(basis, dim, Fraction(1)):
+        off = _dot(w, base)
+        lifted.append(_primitive(w, off))
+        lifted.append(_primitive([-v for v in w], -off))
+    vertices = tuple(sorted(pts[i] for i in vertex_ids))
+    return vertices, tuple(sorted(set(lifted))), k

@@ -1,10 +1,16 @@
 """Command line behavior: payloads, determinism, exit codes, file input."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import okv
+from okv import cli, polytopes
 from okv.cli import main, run
 from okv.errors import ValidationError
 from okv.jobs import jobspec_from_dict, jobspec_to_dict, load_fixture
@@ -398,3 +404,42 @@ def test_matrix_cap_below_one_exits_one(tmp_path, capsys):
     code, out, err = run_job_file(tmp_path, capsys, job)
     assert_validation_exit(code, out, err)
     assert "cap_matrix must be at least 1" in err
+
+
+def test_body_normalized_volume_keeps_the_job_monomial_cap(tmp_path, capsys, monkeypatch):
+    # a 700 x 700 triangle: its first lattice scan box alone has 491401 points
+    caps = []
+    original = polytopes.lattice_points
+
+    def recording(poly, dilation=1, cap_monomials=polytopes.DEFAULT_MONOMIAL_CAP):
+        caps.append(cap_monomials)
+        return original(poly, dilation, cap_monomials)
+
+    monkeypatch.setattr(polytopes, "lattice_points", recording)
+    monkeypatch.setattr(cli, "lattice_points", recording)
+    job = {"semigroup_generators": [[1, 0, 0], [1, 700, 0], [1, 0, 700]],
+           "max_degree": 1, "cap_monomials": 100}
+    code, out, err = run_job_file(tmp_path, capsys, job, command="body")
+    assert code == 2 and not out
+    assert "lattice scan box: 491401 > 100" in err
+    assert caps and all(cap == 100 for cap in caps)
+
+
+def run_module(*argv):
+    src = str(Path(okv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "okv", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+def test_python_dash_m_okv_runs_the_cli(capsys):
+    argv = ["semigroup", "--fixture", "counterexample-p1xp1"]
+    code, out, _ = run_main(capsys, *argv)
+    proc = run_module(*argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    bogus = run_module("bogus")
+    assert bogus.returncode == 1 and not bogus.stdout
+    assert "invalid choice: 'bogus'" in bogus.stderr

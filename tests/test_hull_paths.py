@@ -1,9 +1,11 @@
 """Differential checks of the hull path.
 
 The body is built from normalized minimal generators and the hull by one
-beneath-beyond pass; both are compared here with slower references: the
-hull of every normalized slice point, the library's own LP membership test
-`in_convex_hull`, and the brute-force oracles of tests/oracles.py.
+beneath-beyond pass in ambient coordinates; both are compared here with
+slower references: the hull of every normalized slice point, the span-and-lift
+hull okv used before (`span_lift_hull`), the library's own LP membership
+test `in_convex_hull`, and the brute-force oracles of tests/oracles.py.
+Faces read off the vertices are compared with the halfspace slice.
 """
 
 import random
@@ -13,18 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okv.errors import InvariantError
+from okv.errors import InvariantError, ValidationError
 from okv.jobs import load_fixture
 from okv.polytopes import (
     RationalPolytope,
     _validate,
     convex_hull,
+    face_restriction,
     in_convex_hull,
     lattice_points,
+    polytope_from_halfspaces,
 )
 from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
 
-from oracles import oracle_in_hull, oracle_lattice_points
+from oracles import oracle_in_hull, oracle_lattice_points, span_lift_hull
 
 
 def all_slices_hull(semigroup):
@@ -149,3 +153,60 @@ def test_validate_rejects_loose_equality():
     )  # the pair y <= 0, -y <= 0 becomes y = 1, which no vertex meets
     with pytest.raises(InvariantError):
         _validate(RationalPolytope(2, segment.vertices, moved, 1))
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Points in a random affine subspace of Q^d: base + rational
+    combinations of k integer directions, 0 <= k <= d (often dependent)."""
+    dim = draw(st.integers(1, 4))
+    flat = draw(st.integers(0, dim))
+    small = st.integers(-2, 2)
+    base = [Fraction(draw(small), draw(st.integers(1, 2))) for _ in range(dim)]
+    directions = [[draw(small) for _ in range(dim)] for _ in range(flat)]
+    weights = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        combo = [draw(weights) for _ in directions]
+        points.append(tuple(
+            b + sum((w * d[i] for w, d in zip(combo, directions)), Fraction(0))
+            for i, b in enumerate(base)
+        ))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_point_sets())
+def test_ambient_hull_equals_span_and_lift_hull(points):
+    hull = convex_hull(points)
+    assert (hull.vertices, hull.halfspaces, hull.affine_dim) == span_lift_hull(points)
+
+
+@st.composite
+def orthant_polytopes(draw):
+    """Hulls of small non-negative integer points, with many zero coordinates."""
+    dim = draw(st.integers(1, 4))
+    coordinate = st.integers(0, 3)
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=7))
+    return convex_hull(points)
+
+
+@settings(max_examples=120, deadline=None)
+@given(orthant_polytopes())
+def test_face_restriction_equals_halfspace_slice(poly):
+    for r in range(poly.ambient_dim + 1):
+        face = face_restriction(poly, r)
+        sliced = polytope_from_halfspaces(
+            [(n[r:], c) for n, c in poly.halfspaces], poly.ambient_dim - r
+        )
+        assert_same_polytope(face, sliced)
+
+
+def test_face_restriction_rejects_a_negative_leading_coordinate():
+    poly = convex_hull([(-1, 0), (1, 0), (0, 1)])
+    assert face_restriction(poly, 0) is poly
+    with pytest.raises(ValidationError, match="negative coordinate"):
+        face_restriction(poly, 1)
+    # the slice x_1 = 0 cuts through the interior: it is not a face
+    sliced = polytope_from_halfspaces([(n[1:], c) for n, c in poly.halfspaces], 1)
+    assert sliced.vertices == ((0,), (1,))
