@@ -8,6 +8,7 @@ usage error, 2 resource cap exceeded, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -50,9 +51,10 @@ def _run_nu(job: JobSpec) -> dict:
     if job.is_abstract:
         raise ValidationError("valuations need polynomial sections, not generators")
     flag = job.flag()
-    space = job.section_space()
+    polys = job.parse_sections(job.sections)
+    space = job.space_of(polys)
     rows = []
-    for text, poly in zip(job.sections, job._parse_sections(job.sections)):
+    for text, poly in zip(job.sections, polys):
         if poly.is_zero:
             raise ValidationError(f"section {text!r} is zero; valuation undefined")
         rows.append({"section": text, "value": rpt.point_list(nu(poly, flag))})
@@ -247,7 +249,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every `main`."""
     parser = _Parser(
         prog="okv",
         description=(

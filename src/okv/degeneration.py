@@ -7,15 +7,16 @@ subduction, with no power space built; extend the semigroup to the relation
 degree by resuming the subduction; compute the kernel of the induced
 polynomial presentation degree by degree with the sparse exact echelon
 engine (`okv.echelon`), whose columns are read straight off the evaluated
-label monomials; collapse the modified order on the finitely many degrees
-that occur to a single integer weighting; homogenize each relation into a
-one-parameter family interpolating between the relation and its initial
-form; certify flatness by matching three Hilbert functions degreewise, the
-generic one taken from the kernel dimensions of the relation pass.  The
-label monomials of each degree are enumerated once per degeneration and
-shared by both passes.  Every matrix cap is checked before the step it
-bounds: the number of relation multiples in a degree follows from monomial
-counts, before any monomial of it is evaluated.
+label monomials, and read the fresh relations off the kernel basis pivots;
+collapse the modified order on the finitely many degrees that occur to a
+single integer weighting; homogenize each relation into a one-parameter
+family interpolating between the relation and its initial form; certify
+flatness by matching three Hilbert functions degreewise, the generic one
+taken from the kernel dimensions of the relation pass.  The label
+monomials of each degree are enumerated once per presentation, as columns
+and as shifts of relation multiples.  Every matrix cap is checked before
+the step it bounds: the number of relation multiples in a degree follows
+from monomial counts, before any monomial of it is evaluated.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ DEFAULT_MATRIX_CAP = 500_000
 REES_PARAMETER = "t"
 
 
-def flatten_point(point: GradedPoint) -> tuple:
-    m, u = point
-    return (m, *u)
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Integer linear form (m, u) -> a0*m - sum(ai*ui) collapsing the order."""
@@ -68,7 +64,7 @@ class WeightVector:
         )
 
     def weight(self, point: GradedPoint) -> int:
-        return self.weight_flat(flatten_point(point))
+        return self.weight_flat((point[0], *point[1]))
 
 
 def modified_flat_key(flat) -> tuple:
@@ -95,13 +91,7 @@ def choose_weight_vector(points, dim: int | None = None) -> WeightVector:
     pts.add((0,) * (dim + 1))
     for i in range(dim + 1):
         pts.add(tuple(1 if j == i else 0 for j in range(dim + 1)))
-    gap = 1
-    plist = sorted(pts)
-    for p in plist:
-        for q in plist:
-            for a, b in zip(p, q):
-                if a - b >= gap:
-                    gap = a - b + 1
+    gap = 1 + max(max(c) - min(c) for c in zip(*pts))
     alphas = [0] * (dim + 1)
     alphas[dim] = 1
     for k in range(dim - 1, -1, -1):
@@ -299,13 +289,13 @@ def _check_cap(rows: int, cols: int, cap: int, where: str) -> None:
         raise ResourceCapError(f"matrix cap exceeded {where}: {rows}x{cols} > {cap}")
 
 
-def _multiples(relations, grades, degree: int) -> list[tuple]:
+def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple]:
     """(i, b) for every label monomial b lifting relations[i] to the degree."""
     return [
         (i, b)
         for i, rel in enumerate(relations)
         if rel.degree[0] <= degree
-        for b in _label_monomials(grades, degree - rel.degree[0])
+        for b in presentation.degree_monomials(degree - rel.degree[0])[0]
     ]
 
 
@@ -327,10 +317,14 @@ def kernel_ideal_truncated(
 ) -> RelationSet:
     """Minimal generators of the kernel ideal up to the truncation degree.
 
-    In each degree the kernel of the monomial evaluation map, with columns
-    read straight off the evaluated polynomials, is computed exactly;
-    multiples of lower-degree relations are projected out, and the
-    survivors are put in reduced echelon form, so the output is canonical.
+    In each degree d the kernel K_d of the monomial evaluation map, with
+    columns read straight off the evaluated polynomials, is computed exactly
+    in its reduced echelon basis {k_q}.  The fresh relations are the k_q
+    whose pivot q is not a pivot of the span O_d of the lower relations'
+    multiples: K_d's reduced echelon basis is unique; O_d lies in K_d, so
+    every pivot of O_d is one of K_d; and an element of K_d is zero at every
+    pivot of O_d exactly when it is in the span of those k_q.  So the output
+    is canonical, in ascending pivot order.
     Monomial columns are ordered by (value, exponent), which places each
     relation's pivot inside its initial form.  Every kernel dimension is
     kept for the flatness check.
@@ -345,7 +339,7 @@ def kernel_ideal_truncated(
     kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
         monomials, mon_index = presentation.degree_monomials(degree)
-        multiples = _multiples(relations, presentation.grades, degree)
+        multiples = _multiples(relations, presentation, degree)
         # The column order is a monomial order, so b * relation has pivot
         # b + lead: multiples with distinct pivots are independent kernel
         # elements, a lower bound on the kernel dimension known in advance.
@@ -365,11 +359,11 @@ def kernel_ideal_truncated(
         old = echelon.Echelon()
         for i, b in multiples:
             old.insert(_shifted_row(relations[i].poly, b, mon_index))
-        fresh = echelon.Echelon()
         for vec in kernel:
-            fresh.insert(old.reduce(vec))
-        for pivot in sorted(fresh.rows):
-            coeffs = {monomials[j]: c for j, c in fresh.rows[pivot].items()}
+            pivot = min(vec)
+            if pivot in old.rows:
+                continue
+            coeffs = {monomials[j]: c for j, c in vec.items()}
             value = _monomial_value(presentation, monomials[pivot])
             relations.append(Relation(Polynomial.from_dict(labels, coeffs), (degree, value)))
             leads.append(monomials[pivot])
@@ -514,7 +508,7 @@ def flatness_report(
     binomial = True
     for degree in range(0, check_degree + 1):
         monomials, mon_index = presentation.degree_monomials(degree)
-        multiples = _multiples(relation_set.relations, presentation.grades, degree)
+        multiples = _multiples(relation_set.relations, presentation, degree)
         _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
         special = echelon.Echelon()
         for i, b in multiples:
@@ -562,17 +556,12 @@ def weight_vector_for(
 
 
 def _difference_points(presentation: Presentation, relation_set: RelationSet) -> set:
-    pts = {flatten_point(g.degree) for g in presentation.generators}
+    """Generator degrees, and (0, u - v) for each term value v of a relation of value u."""
+    pts = {(m, *u) for m, u in presentation.degrees}
     for rel in relation_set.relations:
-        values = sorted(
-            {(_monomial_value(presentation, a)) for a, _ in rel.poly.terms}
-        )
-        n = rel.degree[0]
-        top = flatten_point((n, rel.degree[1]))
-        for v in values:
-            if v != rel.degree[1]:
-                other = flatten_point((n, v))
-                pts.add(tuple(x - y for x, y in zip(top, other)))
+        for exp, _ in rel.poly.terms:
+            value = _monomial_value(presentation, exp)
+            pts.add((0, *(x - y for x, y in zip(rel.degree[1], value))))
     return pts
 
 

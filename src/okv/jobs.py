@@ -77,7 +77,7 @@ class JobSpec:
     def generator_points(self) -> list[tuple[int, tuple[int, ...]]]:
         return [(g[0], tuple(g[1:])) for g in self.semigroup_generators]
 
-    def _parse_sections(self, strings) -> list[Polynomial]:
+    def parse_sections(self, strings) -> list[Polynomial]:
         fld = self.coefficient_field
         variables = tuple(self.variables)
         polys = [parse_polynomial(s, variables, fld, self.cap_monomials) for s in strings]
@@ -97,19 +97,19 @@ class JobSpec:
             polys = [p.substitute(images, variables) for p in polys]
         return polys
 
-    def section_space(self) -> SectionSpace:
-        polys = self._parse_sections(self.sections)
+    def space_of(self, polys) -> SectionSpace:
+        """The reduced span of parsed sections, under this job's monomial cap."""
         return reduce_to_basis(
             polys, variables=tuple(self.variables), cap_monomials=self.cap_monomials
         )
 
+    def section_space(self) -> SectionSpace:
+        return self.space_of(self.parse_sections(self.sections))
+
     def subsystem_space(self) -> SectionSpace:
         if not self.subsystem:
             raise ValidationError("this job has no subsystem sections")
-        polys = self._parse_sections(self.subsystem)
-        return reduce_to_basis(
-            polys, variables=tuple(self.variables), cap_monomials=self.cap_monomials
-        )
+        return self.space_of(self.parse_sections(self.subsystem))
 
 
 def _coordinate_entry(entry, fld):

@@ -145,8 +145,15 @@ def degeneration_dict(report: DegenerationReport) -> dict:
     }
 
 
+def _block(value) -> bool:
+    """Whether a value renders over several lines: a dict or a nested list."""
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
+    )
+
+
 def render_text(data, indent: int = 0) -> str:
-    """Plain-text rendering of a report dictionary."""
+    """Plain-text rendering of a report; a "-" line opens each block in a list."""
     pad = "  " * indent
     lines = []
     if isinstance(data, dict):
@@ -156,11 +163,11 @@ def render_text(data, indent: int = 0) -> str:
                 lines.append(render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(data, list):
-        if all(not isinstance(v, (dict, list)) for v in data):
-            lines.append(f"{pad}{data}")
-        else:
-            for value in data:
+    elif isinstance(data, list) and _block(data):
+        for value in data:
+            if _block(value):
+                lines += [f"{pad}-", render_text(value, indent + 1)]
+            else:
                 lines.append(render_text(value, indent))
     else:
         lines.append(f"{pad}{data}")

@@ -142,6 +142,31 @@ def oracle_sumset_slices(generators, max_degree):
 
 
 # ---------------------------------------------------------------------------
+# Weight vectors by the pairwise gap loop okv used before it read the gap off
+# the coordinate ranges.
+
+def pairwise_gap_alphas(points, dim):
+    """Canonical weights: the gap constant is one more than the largest
+    coordinate difference over all ordered pairs of the augmented set."""
+    pts = {tuple(int(c) for c in p) for p in points}
+    pts.add((0,) * (dim + 1))
+    for i in range(dim + 1):
+        pts.add(tuple(1 if j == i else 0 for j in range(dim + 1)))
+    gap = 1
+    plist = sorted(pts)
+    for p in plist:
+        for q in plist:
+            for a, b in zip(p, q):
+                if a - b >= gap:
+                    gap = a - b + 1
+    alphas = [0] * (dim + 1)
+    alphas[dim] = 1
+    for k in range(dim - 1, -1, -1):
+        alphas[k] = gap * sum(alphas[k + 1:]) + 1
+    return tuple(alphas)
+
+
+# ---------------------------------------------------------------------------
 # Dense Gauss-Jordan elimination over any field, and the dense degree-by-degree
 # kernel and flatness computation built on it: the elimination path okv used
 # before its sparse echelon engine, kept as a differential reference.

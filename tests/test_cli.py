@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import okv
-from okv import cli, polytopes
+from okv import cli, jobs, polytopes
 from okv.cli import main, run
 from okv.errors import ValidationError
 from okv.jobs import jobspec_from_dict, jobspec_to_dict, load_fixture
@@ -443,3 +443,73 @@ def test_python_dash_m_okv_runs_the_cli(capsys):
     bogus = run_module("bogus")
     assert bogus.returncode == 1 and not bogus.stdout
     assert "invalid choice: 'bogus'" in bogus.stderr
+
+
+def test_two_mains_build_one_parser(capsys, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "okv":  # subparsers inherit the class
+                built.append(self)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    try:
+        assert run_main(capsys, "nu", "--fixture", "bott-samelson-u")[0] == 0
+        assert run_main(capsys, "body", "--fixture", "elliptic-good")[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_nu_parses_each_section_once(capsys, monkeypatch):
+    parsed = []
+    original = jobs.parse_polynomial
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(jobs, "parse_polynomial", counting)
+    code, out, _ = run_main(capsys, "nu", "--fixture", "bott-samelson-u")
+    assert code == 0
+    assert parsed == list(load_fixture("bott-samelson-u").sections)
+    assert json.loads(out)["result"]["dimension"] == 8
+
+
+def text_block(text, header):
+    """The stripped lines nested under the line `header`."""
+    lines = text.splitlines()
+    start = lines.index(header)
+    depth = len(header) - len(header.lstrip())
+    block = []
+    for line in lines[start + 1:]:
+        if len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line.strip())
+    return block
+
+
+def test_text_format_keeps_slices_apart(capsys):
+    argv = ("semigroup", "--fixture", "hirzebruch-trapezoid", "--max-degree", "1")
+    code, out, _ = run_main(capsys, *argv, "--format", "text")
+    assert code == 0
+    slices = json.loads(run_main(capsys, *argv)[1])["result"]["semigroup"]["slices"]
+    assert [len(s) for s in slices] == [1, 6]
+    expected = [line for s in slices for line in ["-", *map(str, s)]]
+    assert text_block(out, "    slices:") == expected
+
+
+def test_text_format_keeps_relations_apart(capsys):
+    argv = ("degenerate", "--fixture", "hirzebruch-trapezoid")
+    code, out, _ = run_main(capsys, *argv, "--format", "text")
+    assert code == 0
+    relations = json.loads(run_main(capsys, *argv)[1])["result"]["relations"]["relations"]
+    assert len(relations) > 1
+    block = text_block(out, "    relations:")
+    assert block.count("-") == len(relations)
+    starts = [block[i + 1] for i, line in enumerate(block) if line == "-"]
+    assert starts == [f"poly: {rel['poly']}" for rel in relations]
+    assert block[2:5] == ["degree:", str(relations[0]["degree"][0]), str(relations[0]["degree"][1])]

@@ -2,11 +2,14 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from okv import cli, degeneration
+from okv import cli, degeneration, echelon
 from okv.errors import ValidationError
 from okv.fields import QQ
 from okv.polynomials import Polynomial, parse_polynomial
@@ -34,6 +37,8 @@ from okv.degeneration import (
 )
 from okv.jobs import load_fixture
 from okv.spaces import reduce_to_basis
+
+from oracles import dense_kernel_relations, pairwise_gap_alphas
 
 ELLIPTIC_GOOD = [(1, (0,)), (1, (1,)), (1, (3,))]
 
@@ -78,6 +83,21 @@ def test_weight_vector_random_sets_preserve_order():
         for p in full:
             if modified_flat_key(p) > origin_key:
                 assert pi.weight_flat(p) > 0
+
+
+@st.composite
+def weight_point_sets(draw):
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-40, 40)] * (dim + 1))
+    return draw(st.lists(point, max_size=10)), dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_point_sets())
+def test_weight_vector_equals_pairwise_gap_loop(case):
+    """The gap read off the coordinate ranges is the pairwise-loop gap."""
+    points, dim = case
+    assert choose_weight_vector(points, dim=dim).alphas == pairwise_gap_alphas(points, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +196,52 @@ def test_kernel_skips_multiples_of_lower_relations(
     assert fresh.poly == expected
     lifts = {lab: g.lift for lab, g in zip(pres.labels, pres.generators)}
     assert fresh.poly.substitute(lifts, pres.model_variables).is_zero
+
+
+@st.composite
+def abstract_generator_sets(draw):
+    dim = draw(st.integers(1, 2))
+    generator = st.tuples(st.integers(1, 2), st.tuples(*[st.integers(0, 5)] * dim))
+    return draw(st.lists(generator, min_size=1, max_size=7, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(abstract_generator_sets(), st.integers(1, 4))
+def test_kernel_equals_dense_path_on_random_generators(generators, depth):
+    """Fresh relations read off the kernel pivots equal the dense path's
+    projection of the kernel away from the multiples of lower relations."""
+    pres = presentation_from_generators(generators)
+    kernel = kernel_ideal_truncated(pres, depth)
+    assert [(r.poly, r.degree) for r in kernel.relations] == dense_kernel_relations(
+        pres, depth
+    )
+
+
+def test_kernel_builds_one_echelon_per_degree_and_reduces_nothing(monkeypatch):
+    """Only the multiples of lower relations are eliminated in each degree;
+    no kernel vector is reduced against them."""
+    built, calls = [], {"insert": 0, "reduce": 0}
+
+    class Counting(echelon.Echelon):
+        def __init__(self):
+            super().__init__()
+            built.append(sys._getframe(1).f_code.co_name)
+
+        def insert(self, row):
+            calls["insert"] += 1
+            super().insert(row)
+
+        def reduce(self, row):
+            calls["reduce"] += 1
+            return super().reduce(row)
+
+    monkeypatch.setattr(echelon, "Echelon", Counting)
+    job = load_fixture("elliptic-bad")
+    pres = presentation_from_generators(job.generator_points())
+    kernel = kernel_ideal_truncated(pres, job.relation_degree)
+    assert len(kernel.relations) > 0
+    assert built.count("kernel_ideal_truncated") == job.relation_degree
+    assert calls["reduce"] == calls["insert"]  # each reduction is an insertion's
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +460,29 @@ def test_flag_restriction_base_locus_error(counterexample_flag):
 
 def test_degenerate_enumerates_each_degree_once(monkeypatch):
     # relation degree 6: the kernel pass needs degrees 1..6 and the flatness
-    # pass 0..6, seven distinct degrees, each enumerated once
-    calls = []
+    # pass 0..6, seven distinct degrees, each enumerated once, and the shifts
+    # of every relation multiple come from the same lists
+    calls, enumerations = [], []
     original = degeneration._degree_monomials
+    label_monomials = degeneration._label_monomials
 
     def counting(presentation, degree):
         calls.append(degree)
         return original(presentation, degree)
 
+    def enumerating(grades, total):
+        enumerations.append(total)
+        return label_monomials(grades, total)
+
     monkeypatch.setattr(degeneration, "_degree_monomials", counting)
-    job = dataclasses.replace(load_fixture("counterexample-p1xp1"), relation_degree=6)
-    cli.run("degenerate", job)
-    assert sorted(calls) == [0, 1, 2, 3, 4, 5, 6]
+    monkeypatch.setattr(degeneration, "_label_monomials", enumerating)
+    for job in (
+        dataclasses.replace(load_fixture("counterexample-p1xp1"), relation_degree=6),
+        load_fixture("elliptic-bad", 6),
+    ):
+        calls.clear()
+        enumerations.clear()
+        report = cli.run("degenerate", job)
+        assert report["result"]["relation_degree"] == 6
+        assert sorted(calls) == [0, 1, 2, 3, 4, 5, 6]
+        assert sorted(enumerations) == [0, 1, 2, 3, 4, 5, 6]
