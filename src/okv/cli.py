@@ -1,8 +1,8 @@
 """Command line front end: parse a job, run the pipeline, emit one report.
 
-Commands: nu, body, semigroup, check, degenerate.  Reports go to standard
-output, diagnostics to standard error.  Exit codes: 0 success, 1 validation or
-usage error, 2 resource cap exceeded, 3 internal invariant violation.
+Commands are listed in `COMMANDS`.  Reports go to standard output, diagnostics
+to standard error.  The exit code is 0 on success, 1 on a usage error, and
+otherwise the `exit_code` of the `errors` class raised (3 for any other bug).
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
-from .errors import InvariantError, ResourceCapError, ValidationError
+from .errors import OkvError, ValidationError
 from . import report as rpt
 from .degeneration import (
     degenerate_section_space,
@@ -21,7 +22,8 @@ from .degeneration import (
     flag_restriction_check,
     subsystem_compatibility,
 )
-from .jobs import JobSpec, fixture_names, jobspec_from_dict, jobspec_to_dict, load_fixture
+from .jobs import INT_FIELDS, JobSpec, fixture_names, load_fixture
+from .jobs import jobspec_from_dict, jobspec_to_dict
 from .polytopes import lattice_points, normalized_volume
 from .semigroups import (
     build_gamma,
@@ -109,22 +111,22 @@ def _run_degenerate(job: JobSpec) -> dict:
     return rpt.degeneration_dict(report)
 
 
-def _run_check(what: str, job: JobSpec) -> dict:
+def _run_check(job: JobSpec, what: str | None) -> dict:
+    if what not in CHECKS:
+        raise ValidationError(f"check needs one of: {', '.join(CHECKS)}; got {what!r}")
+    if what != "normality" and job.is_abstract:
+        raise ValidationError(f"{what} checks need polynomial sections")
     if what == "normality":
         dim = len(job.semigroup_generators[0]) - 1 if job.is_abstract else len(job.variables)
         gamma = _job_semigroup(job, max(job.max_degree, dim))
         record = semigroup_normality_check(gamma, job.cap_monomials)
         return {"normality": rpt.normality_dict(record)}
     if what == "saturation":
-        if job.is_abstract:
-            raise ValidationError("saturation checks need polynomial sections")
         if job.orders is None:
             raise ValidationError("saturation checks need prescribed orders")
         record = saturation_check(job.section_space(), job.flag(), job.orders)
         return {"saturation": rpt.saturation_dict(record), "orders": list(job.orders)}
     if what == "restriction":
-        if job.is_abstract:
-            raise ValidationError("restriction checks need polynomial sections")
         if job.restriction_index is None:
             raise ValidationError("restriction checks need a restriction index")
         record = flag_restriction_check(
@@ -141,46 +143,43 @@ def _run_check(what: str, job: JobSpec) -> dict:
             "match": record.match,
             "checked_degree": record.checked_degree,
         }
-    if what == "compatibility":
-        if job.is_abstract:
-            raise ValidationError("compatibility checks need polynomial sections")
-        if not job.subsystem:
-            raise ValidationError("compatibility checks need subsystem sections")
-        record = subsystem_compatibility(
-            job.subsystem_space(),
-            job.section_space(),
-            job.flag(),
-            job.max_degree,
-            job.relation_degree,
-            cap_monomials=job.cap_monomials,
-            matrix_cap=job.cap_matrix,
-        )
-        return {
-            "shared_pi": rpt.weight_vector_dict(record.shared_pi),
-            "body_inclusion": record.body_inclusion,
-            "checked_degree": record.checked_degree,
-            "relation_degree": record.relation_degree,
-        }
-    raise ValidationError(f"unknown check {what!r}; known: {', '.join(CHECKS)}")
+    # what == "compatibility"
+    if not job.subsystem:
+        raise ValidationError("compatibility checks need subsystem sections")
+    record = subsystem_compatibility(
+        job.subsystem_space(),
+        job.section_space(),
+        job.flag(),
+        job.max_degree,
+        job.relation_degree,
+        cap_monomials=job.cap_monomials,
+        matrix_cap=job.cap_matrix,
+    )
+    return {
+        "shared_pi": rpt.weight_vector_dict(record.shared_pi),
+        "body_inclusion": record.body_inclusion,
+        "checked_degree": record.checked_degree,
+        "relation_degree": record.relation_degree,
+    }
+
+
+# Each subcommand: its handler and its help line, in the order `--help` lists them.
+COMMANDS = {
+    "nu": (_run_nu, "valuations of the given sections"),
+    "body": (_run_body, "convex body estimate of the value semigroup"),
+    "semigroup": (_run_semigroup, "slices, minimal generators, and the generation report"),
+    "degenerate": (_run_degenerate, "presentation, relations, weight vector, flatness report"),
+    "check": (_run_check, "normality / saturation / restriction / compatibility"),
+}
 
 
 def run(command: str, job: JobSpec, what: str | None = None) -> dict:
     """Execute one command on a validated job and assemble the full report."""
-    if command == "nu":
-        payload = _run_nu(job)
-    elif command == "body":
-        payload = _run_body(job)
-    elif command == "semigroup":
-        payload = _run_semigroup(job)
-    elif command == "degenerate":
-        payload = _run_degenerate(job)
-    elif command == "check":
-        if what is None:
-            raise ValidationError("check needs one of: " + ", ".join(CHECKS))
-        payload = _run_check(what, job)
-    else:
+    if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    report = {
+    handler = COMMANDS[command][0]
+    payload = handler(job, what) if command == "check" else handler(job)
+    return {
         "tool": {"name": "okv", "version": __version__},
         "command": command if what is None else f"{command} {what}",
         "job": jobspec_to_dict(job),
@@ -194,7 +193,6 @@ def run(command: str, job: JobSpec, what: str | None = None) -> dict:
             )
         ],
     }
-    return report
 
 
 def _load_job(args) -> JobSpec:
@@ -213,29 +211,18 @@ def _load_job(args) -> JobSpec:
         job = jobspec_from_dict(raw)
     else:
         raise ValidationError("a job is required: --fixture NAME or --input FILE")
-    overrides = {}
-    if args.max_degree is not None:
-        overrides["max_degree"] = args.max_degree
-    if args.relation_degree is not None:
-        overrides["relation_degree"] = args.relation_degree
-    if args.cap_monomials is not None:
-        overrides["cap_monomials"] = args.cap_monomials
-    if args.cap_matrix is not None:
-        overrides["cap_matrix"] = args.cap_matrix
-    if getattr(args, "restriction_index", None) is not None:
-        overrides["restriction_index"] = args.restriction_index
-    if getattr(args, "orders", None):
+    flags = vars(args)
+    overrides = {name: flags[name] for name in INT_FIELDS if flags.get(name) is not None}
+    if flags.get("orders"):
         try:
             overrides["orders"] = tuple(int(c) for c in args.orders.split(","))
         except ValueError as exc:
             raise ValidationError(f"--orders must be integers, got {args.orders!r}") from exc
-    if getattr(args, "subsystem", None):
+    if flags.get("subsystem"):
         overrides["subsystem"] = tuple(
             s.strip() for s in args.subsystem.split(";") if s.strip()
         )
     if overrides:
-        from dataclasses import replace
-
         job = replace(job, **overrides)
     return job
 
@@ -262,30 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"okv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def int_flags(p, names):
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
+
     def common(p):
         p.add_argument("--fixture", help="named example: " + ", ".join(fixture_names()))
         p.add_argument("--input", help="job description file (JSON-shaped)")
-        p.add_argument("--max-degree", type=int, dest="max_degree")
-        p.add_argument("--relation-degree", type=int, dest="relation_degree")
-        p.add_argument("--cap-monomials", type=int, dest="cap_monomials")
-        p.add_argument("--cap-matrix", type=int, dest="cap_matrix")
+        int_flags(p, [name for name in INT_FIELDS if name != "restriction_index"])
         p.add_argument(
             "--format", choices=("json", "text"), default="json", dest="format"
         )
 
-    for name, helptext in (
-        ("nu", "valuations of the given sections"),
-        ("body", "convex body estimate of the value semigroup"),
-        ("semigroup", "slices, minimal generators, and the generation report"),
-        ("degenerate", "presentation, relations, weight vector, flatness report"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-
-    p = sub.add_parser("check", help="normality / saturation / restriction / compatibility")
+    for name, (_, helptext) in COMMANDS.items():
+        common(sub.add_parser(name, help=helptext))
+    p = sub.choices["check"]
     p.add_argument("what", choices=CHECKS)
-    common(p)
-    p.add_argument("--restriction-index", type=int, dest="restriction_index")
+    int_flags(p, ["restriction_index"])
     p.add_argument("--orders", help="comma-separated vanishing orders, e.g. 2,0")
     p.add_argument("--subsystem", help="semicolon-separated subsystem sections")
     return parser
@@ -297,22 +277,16 @@ def main(argv=None) -> int:
     try:
         job = _load_job(args)
         report = run(args.command, job, getattr(args, "what", None))
-    except ValidationError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 1
-    except ResourceCapError as exc:
-        print(f"error: resource-cap: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: internal-invariant: {exc}", file=sys.stderr)
-        return 3
+    except OkvError as exc:
+        print(f"error: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - surfaced as an internal bug
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
     if args.format == "text":
         print(rpt.render_text(report))
     else:
-        print(json.dumps(report, indent=2, sort_keys=False))
+        print(json.dumps(report, indent=2))
     return 0
 
 

@@ -1,27 +1,33 @@
-"""Exception hierarchy shared across the library and the CLI exit codes."""
+"""Exception hierarchy shared across the library and the CLI.
+
+Each class carries, or inherits, its CLI exit code and the label of its stderr
+line (`error: <label>: <message>`); the CLI reads both off the class it catches.
+"""
 
 
 class OkvError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; an unclassified one is a bug."""
+
+    exit_code = 3
+    label = "internal"
 
 
 class ValidationError(OkvError, ValueError):
-    """Bad input: malformed syntax, violated precondition, schema mismatch.
+    """Bad input: malformed syntax, violated precondition, schema mismatch."""
 
-    Maps to CLI exit code 1.
-    """
+    exit_code = 1
+    label = "validation"
 
 
 class ResourceCapError(OkvError):
     """A configured resource cap was exceeded; the result was not computed.
+    Never raised silently: callers get a complete exact answer or this error."""
 
-    Maps to CLI exit code 2.  Never raised silently: callers either get a
-    complete exact answer or this error.
-    """
+    exit_code = 2
+    label = "resource-cap"
 
 
 class InvariantError(OkvError):
-    """An internal consistency check failed; indicates a bug.
+    """An internal consistency check failed; a bug, so OkvError's exit code."""
 
-    Maps to CLI exit code 3.
-    """
+    label = "internal-invariant"

@@ -2,8 +2,7 @@
 
 Field elements are plain values supporting +, -, *, /, ==, bool and hash:
 `fractions.Fraction` over the rationals, `FpElement` over a prime field.
-A field object turns integers and integer pairs into elements and formats
-them back to exact decimal-free strings.
+A field object turns integers and integer pairs into elements.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from .errors import ValidationError
 
 class RationalField:
     """The rationals; elements are Fraction values in lowest terms."""
-
-    name = "Q"
 
     def __call__(self, numerator, denominator=1):
         if isinstance(numerator, Fraction) and denominator == 1:
@@ -30,9 +27,6 @@ class RationalField:
     @property
     def one(self) -> Fraction:
         return Fraction(1)
-
-    def format(self, value) -> str:
-        return str(value)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -128,7 +122,6 @@ class PrimeField:
         if not isinstance(p, int) or not _is_prime(p):
             raise ValidationError(f"modulus must be a prime integer, got {p!r}")
         self.p = p
-        self.name = f"F{p}"
 
     def __call__(self, numerator, denominator=1):
         if isinstance(numerator, FpElement):
@@ -152,9 +145,6 @@ class PrimeField:
     @property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
-
-    def format(self, value) -> str:
-        return str(value.value)
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .echelon import Echelon
@@ -130,26 +130,14 @@ def _linear_form(variables, row) -> Polynomial:
     return Polynomial.from_dict(variables, coeffs)
 
 
-_JOB_KEYS = {
-    "field": "field_spec",
-    "variables": "variables",
-    "sections": "sections",
-    "semigroup_generators": "semigroup_generators",
-    "max_degree": "max_degree",
-    "relation_degree": "relation_degree",
-    "cap_monomials": "cap_monomials",
-    "cap_matrix": "cap_matrix",
-    "restriction_index": "restriction_index",
-    "orders": "orders",
-    "subsystem": "subsystem",
-    "change_of_coordinates": "change_of_coordinates",
-    "fixture": "fixture",
-    "description": "description",
-}
+# The job-file and report key of each JobSpec field; only `field_spec` is renamed.
+_JOB_KEYS = {"field" if f.name == "field_spec" else f.name: f.name for f in fields(JobSpec)}
 
+# The integer fields, in the order of their CLI flags.
+INT_FIELDS = ("max_degree", "relation_degree", "cap_monomials", "cap_matrix", "restriction_index")
 
-_INT_FIELDS = {"max_degree", "relation_degree", "cap_monomials", "cap_matrix", "restriction_index"}
-_OPTIONAL_INT_FIELDS = {"relation_degree", "restriction_index"}
+# Fields that default to None, so a null in a job file is their default.
+_NULLABLE_FIELDS = {f.name for f in fields(JobSpec) if f.default is None}
 
 
 def _int_value(key: str, value) -> int:
@@ -181,21 +169,23 @@ def jobspec_from_dict(raw: dict) -> JobSpec:
         if key not in raw:
             continue
         value = raw[key]
-        if attr in {"variables", "sections", "subsystem"} and value is not None:
+        if value is None and attr in _NULLABLE_FIELDS:
+            pass
+        elif attr in {"variables", "sections", "subsystem"}:
             value = tuple(str(v) for v in _list_value(key, value))
-        elif attr == "semigroup_generators" and value is not None:
+        elif attr == "semigroup_generators":
             value = tuple(
                 tuple(_int_value(key, c) for c in _list_value(key, row))
                 for row in _list_value(key, value)
             )
-        elif attr == "orders" and value is not None:
+        elif attr == "orders":
             value = tuple(_int_value(key, c) for c in _list_value(key, value))
-        elif attr == "change_of_coordinates" and value is not None:
+        elif attr == "change_of_coordinates":
             value = tuple(
                 tuple(str(c) for c in _list_value(key, row))
                 for row in _list_value(key, value)
             )
-        elif attr in _INT_FIELDS and not (value is None and attr in _OPTIONAL_INT_FIELDS):
+        elif attr in INT_FIELDS:
             value = _int_value(key, value)
         kwargs[attr] = value
     return JobSpec(**kwargs)

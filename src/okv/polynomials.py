@@ -72,10 +72,6 @@ class Polynomial:
             raise ValidationError("zero polynomial has no leading exponent")
         return self.terms[0][0]
 
-    def coefficient(self, exponent: Exponent):
-        d = dict(self.terms)
-        return d.get(tuple(exponent))
-
     def _require_same_variables(self, other: "Polynomial") -> None:
         if self.variables != other.variables:
             raise ValidationError(
@@ -308,7 +304,10 @@ class _Parser:
                 raise ValidationError("negative exponent in polynomial")
             if kind != "number" or "/" in val:
                 raise ValidationError("exponent must be a non-negative integer")
-            return base.power(int(val), self.cap_monomials)
+            exponent = int(val)
+            if not exponent:  # the field's one: a zero base has no coefficient to copy
+                return Polynomial.constant(self.variables, self.field.one)
+            return base.power(exponent, self.cap_monomials)
         return base
 
     def atom(self) -> Polynomial:

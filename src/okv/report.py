@@ -169,6 +169,8 @@ def render_text(data, indent: int = 0) -> str:
                 lines += [f"{pad}-", render_text(value, indent + 1)]
             else:
                 lines.append(render_text(value, indent))
+    elif isinstance(data, list):
+        lines.append(f"{pad}[{', '.join(map(str, data))}]")
     else:
         lines.append(f"{pad}{data}")
     return "\n".join(line for line in lines if line)

@@ -12,8 +12,8 @@ import pytest
 import okv
 from okv import cli, jobs, polytopes
 from okv.cli import main, run
-from okv.errors import ValidationError
-from okv.jobs import jobspec_from_dict, jobspec_to_dict, load_fixture
+from okv.errors import InvariantError, ResourceCapError, ValidationError
+from okv.jobs import JobSpec, jobspec_from_dict, jobspec_to_dict, load_fixture
 
 
 def run_main(capsys, *argv):
@@ -172,6 +172,82 @@ def test_job_roundtrip_through_dict():
     job = load_fixture("counterexample-p1xp1")
     again = jobspec_from_dict(jobspec_to_dict(job))
     assert again == job
+    # Sections and generators exclude each other, so two jobs set all 14 fields.
+    expected = {
+        "field": {"Fp": 7},
+        "variables": ["x", "y"],
+        "sections": ["1", "x"],
+        "max_degree": 3,
+        "relation_degree": 2,
+        "cap_monomials": 50,
+        "cap_matrix": 60,
+        "restriction_index": 1,
+        "orders": [1, 0],
+        "subsystem": ["1"],
+        "change_of_coordinates": [["1", "0"], ["0", "1"]],
+        "fixture": "a-fixture",
+        "description": "a description",
+    }
+    sections_job = JobSpec(
+        field_spec={"Fp": 7},
+        variables=("x", "y"),
+        sections=("1", "x"),
+        max_degree=3,
+        relation_degree=2,
+        cap_monomials=50,
+        cap_matrix=60,
+        restriction_index=1,
+        orders=(1, 0),
+        subsystem=("1",),
+        change_of_coordinates=(("1", "0"), ("0", "1")),
+        fixture="a-fixture",
+        description="a description",
+    )
+    generators_job = JobSpec(
+        semigroup_generators=((1, 0), (1, 1)), fixture="a-fixture"
+    )
+    raw = jobspec_to_dict(sections_job)
+    assert list(raw) == list(expected) and raw == expected
+    assert jobspec_to_dict(generators_job) == {
+        "field": "Q",
+        "semigroup_generators": [[1, 0], [1, 1]],
+        "max_degree": 2,
+        "cap_monomials": generators_job.cap_monomials,
+        "cap_matrix": generators_job.cap_matrix,
+        "fixture": "a-fixture",
+    }
+    for job in (sections_job, generators_job):
+        assert jobspec_from_dict(json.loads(json.dumps(jobspec_to_dict(job)))) == job
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ValidationError("bad input"), 1, "error: validation: bad input"),
+        (ResourceCapError("too big"), 2, "error: resource-cap: too big"),
+        (InvariantError("broken"), 3, "error: internal-invariant: broken"),
+        (RuntimeError("oops"), 3, "error: internal: RuntimeError('oops')"),
+    ],
+    ids=["validation", "resource-cap", "invariant", "other"],
+)
+def test_error_class_sets_exit_code_and_stderr_line(error, code, line, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run", failing)
+    assert run_main(capsys, "nu", "--fixture", "bott-samelson-u") == (code, "", line + "\n")
+
+
+def test_zeroth_power_of_zero_over_a_prime_field(tmp_path, capsys):
+    job = {"field": {"Fp": 7}, "variables": ["x", "y"], "max_degree": 2}
+    for command in ("semigroup", "body", "degenerate"):
+        results = []
+        for first in ("0^0 + x", "(x-x)^0 + x", "1 + x"):
+            job["sections"] = [first, "x", "y"]
+            code, out, err = run_job_file(tmp_path, capsys, job, command)
+            assert code == 0 and not err
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1] == results[2]
 
 
 def test_prime_field_job(tmp_path, capsys):
@@ -500,6 +576,15 @@ def test_text_format_keeps_slices_apart(capsys):
     assert [len(s) for s in slices] == [1, 6]
     expected = [line for s in slices for line in ["-", *map(str, s)]]
     assert text_block(out, "    slices:") == expected
+    assert text_block(out, "    hilbert:") == ["[1, 6]"]
+    assert text_block(out, "caveats:") == ["[all statements are truncation-bounded at degree 1]"]
+
+
+def test_text_format_prints_string_lists_bare(capsys):
+    code, out, _ = run_main(capsys, "nu", "--fixture", "counterexample-p1xp1", "--format", "text")
+    assert code == 0
+    assert text_block(out, "  variables:") == ["[x, y]"]
+    assert text_block(out, "  sections:") == ["[1, x, y + x*y^3, x*y]"]
 
 
 def test_text_format_keeps_relations_apart(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from okv.errors import ValidationError
-from okv.fields import QQ, PrimeField
+from okv.fields import QQ, FpElement, PrimeField
 from okv.polynomials import Polynomial, parse_polynomial
 
 
@@ -104,6 +104,14 @@ def test_prime_field_coefficients():
     p = parse_polynomial("3*x + 7", ("x",), f5)
     assert p.as_dict() == {(1,): f5(3), (0,): f5(2)}
     assert parse_polynomial("1/2", ("x",), f5) == parse_polynomial("3", ("x",), f5)
+
+
+@pytest.mark.parametrize("text", ["0^0", "(x-x)^0", "0^00", "x^0"])
+def test_zeroth_power_is_one_of_the_parser_field(text):
+    f7 = PrimeField(7)
+    p = parse_polynomial(text, ("x",), f7)
+    assert p.terms == (((0,), f7.one),)
+    assert isinstance(p.terms[0][1], FpElement)
 
 
 def test_prime_field_requires_prime():

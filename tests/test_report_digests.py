@@ -1,13 +1,14 @@
 """Golden report digests: the exit code and the sha256 of standard output of
-okv command lines, with JSON reports.
+okv command lines, with JSON reports unless a line asks for text.
 
 Every command runs on every fixture, and the table adds the lines that load
 the degeneration, restriction, compatibility and saturation paths at other
 degrees, every kind of cap exit, and jobs over F_32003 (`Fp:<fixture>` is a
 job file holding that fixture over F_32003).  A successful line records the
 stdout digest; a failing line prints no report and records its stderr
-message instead.  A change that keeps reports byte-identical keeps every
-row; a change meant to alter a report re-records the rows it alters.
+message instead.  The `--format text` rows pin the plain-text renderer the
+same way.  A change that keeps reports byte-identical keeps every row; a
+change meant to alter a report re-records the rows it alters.
 """
 
 import hashlib
@@ -124,6 +125,12 @@ TABLE = [
     ('body --input Fp:bott-samelson-m', 0, 'dd834ba3543add4743d626210f2f38ddf73ed67cb7c0023c14d93a25aae05936'),
     ('degenerate --fixture hirzebruch-trapezoid --cap-matrix 200', 2, 'error: resource-cap: matrix cap exceeded in degree 2: 21x15 > 200'),
     ('degenerate --fixture counterexample-p1xp1 --relation-degree 6 --cap-matrix 2000', 2, 'error: resource-cap: matrix cap exceeded in degree 4: 46x44 > 2000'),
+    ('semigroup --fixture hirzebruch-trapezoid --format text', 0, '4dea6ef1a9496033f590bfab1f03350edaf3ab66a6e408e5105cb39a8db4e310'),
+    ('body --fixture hirzebruch-trapezoid --format text', 0, '22544b7246d28b25401a25c3a1dcce87d235a3bd0c40d6b0c9b57eddd9bf48ce'),
+    ('degenerate --fixture hirzebruch-trapezoid --format text', 0, '4555d49dcdb256ff2df9364ffca174a8a992e96ebd5d3f76b3d2b87c0d561ac8'),
+    ('check normality --fixture hirzebruch-trapezoid --format text', 0, 'f01d6c89efdace44d719ee9dfe019fc61e1da4671f19ae39046f6f4b9ab32c1e'),
+    ('nu --fixture counterexample-p1xp1 --format text', 0, 'c2afb856835b2b66312e20864f53027980a8cc85775b7cb7ab6d2df09601372d'),
+    ('semigroup --fixture counterexample-p1xp1 --format text', 0, 'e99eb22851546d5215b45c053ec9d9c1ea1ed4a87808e110ad196d4771751dd5'),
 ]
 
 
