@@ -277,16 +277,14 @@ def main(argv=None) -> int:
     try:
         job = _load_job(args)
         report = run(args.command, job, getattr(args, "what", None))
+        text = rpt.render_text(report) if args.format == "text" else rpt.to_json(report)
     except OkvError as exc:
         print(f"error: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - surfaced as an internal bug
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
-    if args.format == "text":
-        print(rpt.render_text(report))
-    else:
-        print(json.dumps(report, indent=2))
+    print(text)
     return 0
 
 

@@ -155,9 +155,9 @@ def _list_value(key: str, value):
 def jobspec_from_dict(raw: dict) -> JobSpec:
     """Build a JobSpec from parsed structured text; unknown keys are rejected.
 
-    Integer fields and the entries of generator and order lists must be
-    JSON integers (not booleans), and list fields must be lists, so a
-    malformed file is a validation error rather than a silent coercion.
+    Integer fields, generator and order entries and the p of `{"Fp": p}` must
+    be JSON integers (not booleans), list fields lists, and `fixture` and
+    `description` strings, so a malformed file is a validation error.
     """
     if not isinstance(raw, dict):
         raise ValidationError("job description must be a mapping")
@@ -187,6 +187,12 @@ def jobspec_from_dict(raw: dict) -> JobSpec:
             )
         elif attr in INT_FIELDS:
             value = _int_value(key, value)
+        elif attr in {"fixture", "description"} and not isinstance(value, str):
+            raise ValidationError(f"{key} must be a string, got {value!r}")
+        elif attr == "field_spec" and value != "Q":
+            if not isinstance(value, dict) or set(value) != {"Fp"}:
+                raise ValidationError(f'field must be "Q" or {{"Fp": p}}, got {value!r}')
+            _int_value('field "Fp"', value["Fp"])
         kwargs[attr] = value
     return JobSpec(**kwargs)
 

@@ -8,6 +8,7 @@ bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .degeneration import (
     DegenerationReport,
@@ -27,10 +28,6 @@ def scalar_str(value) -> str:
     if isinstance(value, FpElement):
         return str(value.value)
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-def parse_scalar_str(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def point_list(point) -> list[int]:
@@ -174,3 +171,31 @@ def render_text(data, indent: int = 0) -> str:
     else:
         lines.append(f"{pad}{data}")
     return "\n".join(line for line in lines if line)
+
+
+
+def to_json(value, pad: str = "\n") -> str:
+    """The text `json.dumps` gives with `indent=2`, byte for byte, for the values
+    a report holds: str, int, bool, None, and lists, tuples and str-keyed dicts
+    of them; anything else raises TypeError.  `pad` goes before a closing bracket."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        inner, ends = pad + "  ", "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [to_json(v, inner) for v in value]
+    elif kind is dict:
+        inner, ends = pad + "  ", "{}"  # the C escaper raises TypeError on a non-str key
+        items = [_json_str(k) + ": " + to_json(v, inner) for k, v in value.items()]
+    elif kind is str:
+        return _json_str(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    else:
+        raise TypeError(f"not a report value: {value!r}")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if value else ends

@@ -238,6 +238,13 @@ def test_error_class_sets_exit_code_and_stderr_line(error, code, line, capsys, m
     assert run_main(capsys, "nu", "--fixture", "bott-samelson-u") == (code, "", line + "\n")
 
 
+def test_unencodable_report_exits_three_and_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: {"result": 1.5})
+    code, out, err = run_main(capsys, "nu", "--fixture", "bott-samelson-u")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: TypeError(")
+
+
 def test_zeroth_power_of_zero_over_a_prime_field(tmp_path, capsys):
     job = {"field": {"Fp": 7}, "variables": ["x", "y"], "max_degree": 2}
     for command in ("semigroup", "body", "degenerate"):
@@ -378,6 +385,28 @@ def test_non_integer_generator_entry_exits_one(tmp_path, capsys):
 def test_zero_denominator_in_prime_field_exits_one(tmp_path, capsys):
     job = {"field": {"Fp": 7}, "variables": ["x"], "sections": ["1/7*x"], "max_degree": 1}
     assert_validation_exit(*run_job_file(tmp_path, capsys, job))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"fixture": 5}, "fixture must be a string, got 5"),
+        ({"description": {"a": 1.5}}, "description must be a string, got {'a': 1.5}"),
+        ({"description": None}, "description must be a string, got None"),
+        ({"field": {"Fp": 7.0}}, 'field "Fp" must be an integer, got 7.0'),
+        ({"field": {"Fp": True}}, 'field "Fp" must be an integer, got True'),
+        ({"field": {"Fp": 7, "Q": 1}}, 'field must be "Q" or {"Fp": p}'),
+        ({"field": "R"}, 'field must be "Q" or {"Fp": p}'),
+        ({"field": ["Fp", 7]}, 'field must be "Q" or {"Fp": p}'),
+    ],
+    ids=["fixture-int", "description-dict", "description-null", "Fp-float", "Fp-bool",
+         "field-extra-key", "field-name", "field-list"],
+)
+def test_echoed_job_fields_are_typed(extra, message, tmp_path, capsys):
+    job = {"semigroup_generators": [[1, 0], [1, 1]], **extra}
+    code, out, err = run_job_file(tmp_path, capsys, job, "semigroup")
+    assert_validation_exit(code, out, err)
+    assert message in err
 
 
 def test_null_cap_exits_one(tmp_path, capsys):

@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from okv.cli import run
 from okv.jobs import load_fixture
 from okv.polynomials import Polynomial
 from okv.polytopes import convex_hull, in_convex_hull
+from okv.report import scalar_str, to_json
 from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import FlagSpec, nu, nu_image, nu_prefix_image
@@ -143,9 +145,39 @@ def test_repeated_runs_byte_identical():
 
 
 def test_scalar_string_round_trip():
-    from okv.report import parse_scalar_str, scalar_str
-
     rng = random.Random(17)
     for _ in range(200):
         q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
-        assert parse_scalar_str(scalar_str(q)) == q
+        assert Fraction(scalar_str(q)) == q
+
+
+# Report leaves: big and negative ints, the three literals, and strings that
+# need escaping (quotes, backslashes, control and non-ASCII characters, lone
+# surrogates).
+report_leaves = (
+    st.integers(-(2**70), 2**70)
+    | st.sampled_from([True, False, None, 2**64 + 1, -(2**64)])
+    | st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x7fé\U0001f600\ud800'))
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(report_values)
+def test_to_json_matches_json_dumps_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, [1, 2.0], {"a": [True, {3}]}, {None: 1}],
+    ids=["float", "fraction", "set", "int-key", "float-in-int-list", "nested-set", "none-key"],
+)
+def test_to_json_rejects_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        to_json(value)

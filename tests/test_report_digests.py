@@ -3,8 +3,9 @@ okv command lines, with JSON reports unless a line asks for text.
 
 Every command runs on every fixture, and the table adds the lines that load
 the degeneration, restriction, compatibility and saturation paths at other
-degrees, every kind of cap exit, and jobs over F_32003 (`Fp:<fixture>` is a
-job file holding that fixture over F_32003).  A successful line records the
+degrees, every kind of cap exit, jobs over F_32003 (`Fp:<fixture>` is a
+job file holding that fixture over F_32003) and a job whose description
+needs JSON escapes (`Esc:<fixture>`).  A successful line records the
 stdout digest; a failing line prints no report and records its stderr
 message instead.  The `--format text` rows pin the plain-text renderer the
 same way.  A change that keeps reports byte-identical keeps every row; a
@@ -123,6 +124,7 @@ TABLE = [
     ('degenerate --input Fp:bott-samelson-u --max-degree 2 --relation-degree 2', 0, 'c0dd9d790dc03ded0ccc72e21e1c1c32c906e38eccf0a42586bccf0e0140bf0d'),
     ('degenerate --input Fp:counterexample-p1xp1', 0, 'eec1c62a2c5aee65fbaf2ebc0677c1c1f4134574a4b2d0361e12f99398b0a1d4'),
     ('body --input Fp:bott-samelson-m', 0, 'dd834ba3543add4743d626210f2f38ddf73ed67cb7c0023c14d93a25aae05936'),
+    ('semigroup --input Esc:hirzebruch-trapezoid', 0, 'abfae391180b9b86f5537d651acb7f73264ebf8d09e113b9d26824e7b464fd67'),
     ('degenerate --fixture hirzebruch-trapezoid --cap-matrix 200', 2, 'error: resource-cap: matrix cap exceeded in degree 2: 21x15 > 200'),
     ('degenerate --fixture counterexample-p1xp1 --relation-degree 6 --cap-matrix 2000', 2, 'error: resource-cap: matrix cap exceeded in degree 4: 46x44 > 2000'),
     ('semigroup --fixture hirzebruch-trapezoid --format text', 0, '4dea6ef1a9496033f590bfab1f03350edaf3ab66a6e408e5105cb39a8db4e310'),
@@ -134,13 +136,21 @@ TABLE = [
 ]
 
 
+# The job files a line can name as `<edit>:<fixture>`: the fixture's job with
+# these keys replaced.
+JOB_EDITS = {
+    "Fp": {"field": {"Fp": 32003}},
+    "Esc": {"description": 'a "quoted" back\\slash,\na newline and \u00e9'},
+}
+
+
 def argv_for(line, tmp_path):
     argv = []
     for token in line.split(" "):
-        if token.startswith("Fp:"):
-            job = jobspec_to_dict(load_fixture(token[3:]))
-            job["field"] = {"Fp": 32003}
-            path = tmp_path / f"{token[3:]}.json"
+        edit, _, name = token.partition(":")
+        if edit in JOB_EDITS:
+            job = {**jobspec_to_dict(load_fixture(name)), **JOB_EDITS[edit]}
+            path = tmp_path / f"{edit}-{name}.json"
             path.write_text(json.dumps(job), encoding="utf-8")
             token = str(path)
         argv.append(token)
