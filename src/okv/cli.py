@@ -1,8 +1,9 @@
 """Command line front end: parse a job, run the pipeline, emit one report.
 
 Commands are listed in `COMMANDS`.  Reports go to standard output, diagnostics
-to standard error.  The exit code is 0 on success, 1 on a usage error, and
-otherwise the `exit_code` of the `errors` class raised (3 for any other bug).
+to standard error.  The exit code is 0 on success, 1 on a usage error, 3 when
+standard output closes before the report is written, and otherwise the
+`exit_code` of the `errors` class raised (3 for any other bug).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -284,7 +286,18 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced as an internal bug
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point the descriptor at the null device so the
+        # flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output: standard output closed before the report was written",
+              file=sys.stderr)
+        return 3
     return 0
 
 

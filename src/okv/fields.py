@@ -100,18 +100,33 @@ class FpElement:
         return f"{self.value}"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# The first twelve primes: as Miller-Rabin bases they decide primality for
+# every n < 3.18e23 (Sorenson and Webster 2015), so for every modulus below
+# MODULUS_BOUND.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_BOUND = 2**64
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < 3.18e23."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -119,6 +134,8 @@ class PrimeField:
     """The field of integers modulo a prime p."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= MODULUS_BOUND:
+            raise ValidationError(f"modulus must be below 2**64, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValidationError(f"modulus must be a prime integer, got {p!r}")
         self.p = p

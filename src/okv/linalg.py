@@ -1,9 +1,18 @@
 """Dense exact linear algebra over a field, for the small matrices of the
-hull code: list-of-rows adapters over the sparse engine in `okv.echelon`."""
+hull code: list-of-rows adapters over the sparse engine in `okv.echelon`.
+
+Integer entries are read as rationals: the engine scales a row by the
+inverse `pivot ** -1` of its pivot, which is a float for an int pivot."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import echelon
+
+
+def _sparse(row: list) -> dict:
+    return {j: Fraction(v) if type(v) is int else v for j, v in enumerate(row) if v}
 
 
 def _dense(row: dict, ncols: int) -> list:
@@ -18,7 +27,7 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     form = echelon.Echelon()
     for r in rows:
-        form.insert({j: v for j, v in enumerate(r) if v})
+        form.insert(_sparse(r))
     return [_dense(r, ncols) for r in form.sorted_rows()], sorted(form.rows)
 
 
@@ -32,7 +41,7 @@ def nullspace(rows: list[list], ncols: int, one, max_cells: int | None = None) -
     `max_cells` bounds the materialized kernel basis (dimension times width);
     exceeding it raises ResourceCapError before the expensive step.
     """
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    sparse = [_sparse(r) for r in rows]
     return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one, max_cells)]
 
 

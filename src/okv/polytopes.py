@@ -1,7 +1,10 @@
 """Exact rational polytopes: V-representation, H-representation, lattice points.
 
-Hulls are computed over the rationals with no floating point anywhere, in
-ambient coordinates.  The affine hull of the input is found first, together
+Hulls are exact, with no floating point anywhere, in ambient coordinates.
+The input points are scaled once by the lcm of their denominators, and the
+hull is built and validated on those integer points; each integer facet is
+mapped back through `_primitive`, so the output is the same as over the
+rationals.  The affine hull of the input is found first, together
 with its equality normals; one beneath–beyond pass then builds the hull
 inside it: start from a simplex on affinely independent input points, and
 for each further point delete the boundary simplices it sees and cone the
@@ -18,7 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, prod
+from functools import reduce
+from math import ceil, floor, gcd, lcm, prod
+from operator import mul
 
 from .errors import InvariantError, ResourceCapError, ValidationError
 from . import linalg
@@ -54,7 +59,7 @@ class RationalPolytope:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def empty_polytope(ambient_dim: int) -> RationalPolytope:
@@ -135,21 +140,10 @@ def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool
 # Hull construction.
 
 def _primitive(normal, offset):
-    """Clear denominators and divide by the gcd; orientation is preserved."""
-    denoms = [v.denominator for v in normal] + [offset.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(v * scale) for v in normal]
-    off = offset * scale
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(off.numerator)) if off.denominator == 1 else g
-    if g > 1:
-        ints = [v // g for v in ints]
-        off = off / g
-    return tuple(ints), off
+    """The halfspace <normal, x> <= offset as the primitive integer vector on
+    its ray: an integer normal and an integral offset, orientation kept."""
+    *ints, off = _integer_direction([*normal, offset])
+    return tuple(ints), Fraction(off)
 
 
 def _affine_rank(points) -> int:
@@ -158,9 +152,21 @@ def _affine_rank(points) -> int:
     return linalg.rank(diffs, len(points[0]))
 
 
+def _scaled(values, scale: int) -> list:
+    """`scale * v` as ints, for rationals v whose denominators divide `scale`."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _integer_direction(vector) -> list:
+    """The primitive integer vector on the ray of a non-zero rational vector."""
+    ints = _scaled(vector, reduce(lcm, (v.denominator for v in vector)))
+    g = reduce(gcd, ints)
+    return [v // g for v in ints]
+
+
 def _oriented_plane(pts, face, inside, equalities):
-    """Hyperplane through the points `face` inside the affine hull, with
-    `inside` strictly below.
+    """Integer hyperplane through the points `face` inside the affine hull,
+    with `inside` strictly below.
 
     The normal is orthogonal to the face and to every equality normal, so it
     lies in the hull's direction space.  `inside` is k+1 times the centroid
@@ -168,16 +174,17 @@ def _oriented_plane(pts, face, inside, equalities):
     """
     ridge = [pts[i] for i in face]
     diffs = [[a - b for a, b in zip(q, ridge[0])] for q in ridge[1:]]
-    normal = linalg.nullspace(diffs + equalities, len(inside), Fraction(1))[0]
+    normal = _integer_direction(linalg.nullspace(diffs + equalities, len(inside), Fraction(1))[0])
     offset = _dot(normal, ridge[0])
     if _dot(normal, inside) > (len(face) + 1) * offset:
         return [-v for v in normal], -offset
     return normal, offset
 
 
-def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], list[Halfspace]]:
-    """Vertex indices and primitive facets of the hull of points whose
-    affine hull has dimension k and equality normals `equalities`.
+def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], set]:
+    """Vertex indices and facet hyperplanes (n, c), meaning <n, y> <= c, of
+    the hull of integer points whose affine hull has dimension k and integer
+    equality normals `equalities`.
 
     The boundary is kept as simplices, each a sorted tuple of k point
     indices.  A point sees a simplex when it lies strictly beyond its
@@ -206,13 +213,13 @@ def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], list[Halfspace]
         for ridge in horizon:
             face = tuple(sorted(ridge + (idx,)))
             boundary[face] = _oriented_plane(pts, face, inside, equalities)
-    facets = sorted({_primitive(n, c) for n, c in boundary.values()})
-    normals = [([Fraction(v) for v in n], c) for n, c in facets]  # rref divides
-    # The facet normals lie in the k-dimensional direction space, so a point
-    # is a vertex exactly when its tight normals span it.
+    # Coplanar simplices share one primitive plane.  The facet normals lie
+    # in the k-dimensional direction space, so a point is a vertex exactly
+    # when its tight normals span it.
+    facets = {(tuple(n), c) for n, c in boundary.values()}
     vertex_ids = []
     for idx in sorted({i for face in boundary for i in face}):
-        tight = [n for n, c in normals if _dot(n, pts[idx]) == c]
+        tight = [n for n, c in facets if _dot(n, pts[idx]) == c]
         if linalg.rank(tight, len(pts[0])) == k:
             vertex_ids.append(idx)
     return vertex_ids, facets
@@ -226,44 +233,55 @@ def convex_hull(points) -> RationalPolytope:
     ambient_dim = len(pts[0])
     if any(len(p) != ambient_dim for p in pts):
         raise ValidationError("points of mixed dimension")
-    base = pts[0]
-    diffs = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
+    scale = lcm(*{c.denominator for p in pts for c in p})
+    ints = [_scaled(p, scale) for p in pts]
+    base = ints[0]
+    diffs = [[c - b for c, b in zip(p, base)] for p in ints[1:]]
     basis, _ = linalg.rref(diffs, ambient_dim)
     k = len(basis)
-    equalities = linalg.nullspace(basis, ambient_dim, Fraction(1))
+    equalities = [
+        _integer_direction(w) for w in linalg.nullspace(basis, ambient_dim, Fraction(1))
+    ]
     if k == 0:
         vertex_ids = [0]
         halfspaces = set()
     else:
-        vertex_ids, facets = _beneath_beyond(pts, k, equalities)
-        halfspaces = set(facets)
+        vertex_ids, facets = _beneath_beyond(ints, k, equalities)
+        # <n, y> <= c on the points y = scale * x is <n, x> <= c / scale
+        halfspaces = {_primitive(n, Fraction(c, scale)) for n, c in facets}
     # equalities cutting out the affine hull, as opposite halfspace pairs
     for w in equalities:
-        off = _dot(w, base)
+        off = Fraction(_dot(w, base), scale)
         halfspaces.add(_primitive(w, off))
         halfspaces.add(_primitive([-v for v in w], -off))
-    vertices = tuple(sorted(pts[i] for i in vertex_ids))
+    vertices = tuple(pts[i] for i in vertex_ids)
     poly = RationalPolytope(ambient_dim, vertices, tuple(sorted(halfspaces)), k)
     _validate(poly)
     return poly
 
 
 def _validate(poly: RationalPolytope) -> None:
-    for v in poly.vertices:
+    """Cross-check both representations in integers: vertices and offsets
+    are scaled by the lcm of their denominators."""
+    scale = lcm(*{c.denominator for v in poly.vertices for c in v},
+                *{c.denominator for _, c in poly.halfspaces})
+    verts = [_scaled(v, scale) for v in poly.vertices]
+    bounds = _scaled([c for _, c in poly.halfspaces], scale)
+    for v in verts:
         tight = 0
-        for n, c in poly.halfspaces:
+        for (n, _), bound in zip(poly.halfspaces, bounds):
             val = _dot(n, v)
-            if val > c:
+            if val > bound:
                 raise InvariantError("vertex violates a halfspace")
-            if val == c:
+            if val == bound:
                 tight += 1
         if tight < poly.affine_dim:
             raise InvariantError("vertex tight on too few halfspaces")
     present = set(poly.halfspaces)
-    for n, c in poly.halfspaces:
+    for (n, c), bound in zip(poly.halfspaces, bounds):
         if (tuple(-a for a in n), -c) in present:
             continue  # an equality: with no vertex violating, tight on every vertex
-        tight = [v for v in poly.vertices if _dot(n, v) == c]
+        tight = [v for v in verts if _dot(n, v) == bound]
         if not tight or _affine_rank(tight) != poly.affine_dim - 1:
             raise InvariantError("halfspace not tight on a facet")
 

@@ -382,6 +382,24 @@ def test_non_integer_generator_entry_exits_one(tmp_path, capsys):
     assert_validation_exit(*run_job_file(tmp_path, capsys, job, "semigroup"))
 
 
+def test_large_prime_modulus_runs_at_once(tmp_path, capsys):
+    job = {"field": {"Fp": 2**61 - 1}, "variables": ["x"], "sections": ["x"],
+           "max_degree": 1}
+    start = time.perf_counter()
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and not err
+    assert json.loads(out)["result"]["dimension"] == 1
+
+
+def test_modulus_of_2_to_the_64_or_more_exits_one(tmp_path, capsys):
+    job = {"field": {"Fp": 2**64 + 13}, "variables": ["x"], "sections": ["x"],
+           "max_degree": 1}
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "modulus must be below 2**64" in err
+
+
 def test_zero_denominator_in_prime_field_exits_one(tmp_path, capsys):
     job = {"field": {"Fp": 7}, "variables": ["x"], "sections": ["1/7*x"], "max_degree": 1}
     assert_validation_exit(*run_job_file(tmp_path, capsys, job))
@@ -530,12 +548,16 @@ def test_body_normalized_volume_keeps_the_job_monomial_cap(tmp_path, capsys, mon
     assert caps and all(cap == 100 for cap in caps)
 
 
-def run_module(*argv):
+def module_env():
     src = str(Path(okv.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "okv", *argv], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        env=module_env(), timeout=120,
     )
 
 
@@ -548,6 +570,26 @@ def test_python_dash_m_okv_runs_the_cli(capsys):
     bogus = run_module("bogus")
     assert bogus.returncode == 1 and not bogus.stdout
     assert "invalid choice: 'bogus'" in bogus.stderr
+
+
+def test_closed_stdout_exits_three_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "okv", "semigroup", "--fixture", "bott-samelson-u",
+         "--max-degree", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env(),
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: output: standard output closed before the report was written"
+    ]
 
 
 def test_two_mains_build_one_parser(capsys, monkeypatch):

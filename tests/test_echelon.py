@@ -101,6 +101,20 @@ def assert_matches_oracle(field, rows, ncols):
         assert linalg.solve_unique(rows, rhs) == solve_exact(rows, rhs)
 
 
+def test_integer_rows_stay_exact():
+    """The engine scales a row by `pivot ** -1`, a float for an int pivot, so
+    the adapters read int entries as rationals."""
+    reduced, pivots = linalg.rref([[2, 3]], 2)
+    kernel = linalg.nullspace([[2, 3]], 2, 1)
+    solution = linalg.solve_unique([[2, 0], [0, 4]], [1, 1])
+    assert (reduced, pivots) == ([[1, Fraction(3, 2)]], [0])
+    assert kernel == [[1, Fraction(-2, 3)]]
+    assert solution == [Fraction(1, 2), Fraction(1, 4)]
+    assert linalg.rank([[2, 3], [4, 6]], 2) == 1
+    entries = [v for row in reduced + kernel + [solution] for v in row]
+    assert all(type(v) in (int, Fraction) for v in entries)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 @example((QQ, [], 0))

@@ -183,6 +183,34 @@ def test_ambient_hull_equals_span_and_lift_hull(points):
 
 
 @st.composite
+def body_point_sets(draw):
+    """Body-style points u/m: integer vectors u in the span of k integer
+    directions (often dependent), each over its own degree m in 1..9, so the
+    lcm of the denominators is large; direction entries reach past 2**64."""
+    dim = draw(st.integers(1, 4))
+    flat = draw(st.integers(1, dim))
+    entry = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**66), st.integers(-2**66, -2**64))
+    directions = [[draw(entry) for _ in range(dim)] for _ in range(flat)]
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        combo = [draw(st.integers(0, 3)) for _ in directions]
+        u = [sum(w * d[i] for w, d in zip(combo, directions)) for i in range(dim)]
+        m = draw(st.integers(1, 9))
+        points.append(tuple(Fraction(c, m) for c in u))
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(body_point_sets())
+def test_integer_hull_equals_span_and_lift_hull_on_body_points(points):
+    hull = convex_hull(points)
+    assert (hull.vertices, hull.halfspaces, hull.affine_dim) == span_lift_hull(points)
+    assert all(type(c) is Fraction for v in hull.vertices for c in v)
+    assert all(type(c) is Fraction for _, c in hull.halfspaces)
+    assert all(type(a) is int for n, _ in hull.halfspaces for a in n)
+
+
+@st.composite
 def orthant_polytopes(draw):
     """Hulls of small non-negative integer points, with many zero coordinates."""
     dim = draw(st.integers(1, 4))

@@ -1,11 +1,12 @@
 """Polynomial arithmetic, parsing, and printing."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from okv.errors import ValidationError
-from okv.fields import QQ, FpElement, PrimeField
+from okv.fields import QQ, FpElement, PrimeField, _is_prime
 from okv.polynomials import Polynomial, parse_polynomial
 
 
@@ -117,6 +118,19 @@ def test_zeroth_power_is_one_of_the_parser_field(text):
 def test_prime_field_requires_prime():
     with pytest.raises(ValidationError):
         PrimeField(6)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(10**5))
+
+
+def test_is_prime_rejects_carmichael_and_strong_pseudoprime():
+    assert not _is_prime(561)  # Carmichael: 3 * 11 * 17
+    assert not _is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
 
 
 def test_substitute_specializes_variables():
