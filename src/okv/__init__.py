@@ -8,7 +8,6 @@ from .fields import QQ, PrimeField
 from .polynomials import Polynomial, parse_polynomial
 from .spaces import SectionSpace, contains, product_space, reduce_to_basis
 from .valuation import (
-    FlagSpec,
     nu,
     nu_image,
     nu_prefix_image,
@@ -31,6 +30,7 @@ from .polytopes import (
     RationalPolytope,
     convex_hull,
     face_restriction,
+    lattice_count,
     lattice_points,
     normalized_volume,
     polytope_from_halfspaces,

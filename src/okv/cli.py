@@ -26,7 +26,7 @@ from .degeneration import (
 )
 from .jobs import INT_FIELDS, JobSpec, fixture_names, load_fixture
 from .jobs import jobspec_from_dict, jobspec_to_dict
-from .polytopes import lattice_points, normalized_volume
+from .polytopes import lattice_count, normalized_volume
 from .semigroups import (
     build_gamma,
     check_degree_one_generation,
@@ -46,22 +46,19 @@ def _job_semigroup(job: JobSpec, max_degree: int | None = None):
         return gamma_from_generators(
             job.generator_points(), bound, cap_monomials=job.cap_monomials
         )
-    return build_gamma(
-        job.section_space(), job.flag(), bound, cap_monomials=job.cap_monomials
-    )
+    return build_gamma(job.section_space(), bound, cap_monomials=job.cap_monomials)
 
 
 def _run_nu(job: JobSpec) -> dict:
     if job.is_abstract:
         raise ValidationError("valuations need polynomial sections, not generators")
-    flag = job.flag()
     polys = job.parse_sections(job.sections)
     space = job.space_of(polys)
     rows = []
     for text, poly in zip(job.sections, polys):
         if poly.is_zero:
             raise ValidationError(f"section {text!r} is zero; valuation undefined")
-        rows.append({"section": text, "value": rpt.point_list(nu(poly, flag))})
+        rows.append({"section": text, "value": rpt.point_list(nu(poly))})
     return {
         "valuations": rows,
         "dimension": space.dimension,
@@ -78,8 +75,9 @@ def _run_body(job: JobSpec) -> dict:
         "estimate": "inner approximation; exact when generated in degree one up to the bound",
     }
     if all(c.denominator == 1 for v in body.vertices for c in v):
-        payload["normalized_volume"] = normalized_volume(body, job.cap_monomials)
-        payload["lattice_count"] = len(lattice_points(body, 1, job.cap_monomials))
+        count = lattice_count(body, 1, job.cap_monomials)
+        payload["normalized_volume"] = normalized_volume(body, job.cap_monomials, [count])
+        payload["lattice_count"] = count
     return payload
 
 
@@ -104,7 +102,6 @@ def _run_degenerate(job: JobSpec) -> dict:
     else:
         report = degenerate_section_space(
             job.section_space(),
-            job.flag(),
             job.max_degree,
             job.relation_degree,
             cap_monomials=job.cap_monomials,
@@ -126,14 +123,13 @@ def _run_check(job: JobSpec, what: str | None) -> dict:
     if what == "saturation":
         if job.orders is None:
             raise ValidationError("saturation checks need prescribed orders")
-        record = saturation_check(job.section_space(), job.flag(), job.orders)
+        record = saturation_check(job.section_space(), job.orders)
         return {"saturation": rpt.saturation_dict(record), "orders": list(job.orders)}
     if what == "restriction":
         if job.restriction_index is None:
             raise ValidationError("restriction checks need a restriction index")
         record = flag_restriction_check(
             job.section_space(),
-            job.flag(),
             job.restriction_index,
             job.max_degree,
             cap_monomials=job.cap_monomials,
@@ -151,7 +147,6 @@ def _run_check(job: JobSpec, what: str | None) -> dict:
     record = subsystem_compatibility(
         job.subsystem_space(),
         job.section_space(),
-        job.flag(),
         job.max_degree,
         job.relation_degree,
         cap_monomials=job.cap_monomials,

@@ -38,7 +38,7 @@ from .semigroups import (
     okounkov_body_estimate,
 )
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, is_subspace
-from .valuation import FlagSpec, restricted_system
+from .valuation import restricted_system
 from .polytopes import RationalPolytope, face_restriction, polytopes_equal
 
 DEFAULT_MATRIX_CAP = 500_000
@@ -161,7 +161,7 @@ class Presentation:
         raise ValidationError(f"no generator of degree {degree}")
 
 
-def _present(space, flag, max_degree, cap_monomials):
+def _present(space, max_degree, cap_monomials):
     """A presentation read from the semigroup truncated at `max_degree`, and the
     subduction that found it, resumable for higher degrees.  Each generator
     (m, u) is lifted by that subduction (`Subduction.lift`) to the element of
@@ -171,7 +171,7 @@ def _present(space, flag, max_degree, cap_monomials):
         raise ValidationError("cannot present the zero space")
     if max_degree < 1:
         raise ValidationError("a presentation needs the semigroup to degree at least 1")
-    ring = Subduction(space, flag, cap_monomials)
+    ring = Subduction(space, cap_monomials)
     out = [
         PresentationGenerator(f"X{i}", (m, u), ring.lift(m, u))
         for i, (m, u) in enumerate(minimal_generators(ring.semigroup(max_degree)), start=1)
@@ -182,12 +182,11 @@ def _present(space, flag, max_degree, cap_monomials):
 
 def build_presentation(
     space: SectionSpace,
-    flag: FlagSpec,
     max_degree: int,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> Presentation:
     """One labelled generator per minimal semigroup generator, with its lift."""
-    return _present(space, flag, max_degree, cap_monomials)[0]
+    return _present(space, max_degree, cap_monomials)[0]
 
 
 def presentation_from_generators(generators) -> Presentation:
@@ -594,7 +593,6 @@ def default_relation_degree(presentation: Presentation) -> int:
 
 def degenerate_section_space(
     space: SectionSpace,
-    flag: FlagSpec,
     max_degree: int,
     relation_degree: int | None = None,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
@@ -602,7 +600,7 @@ def degenerate_section_space(
 ) -> DegenerationReport:
     """Full pipeline for a polynomial linear system: the semigroup is extended to
     the relation degree by resuming the subduction that presented it."""
-    presentation, ring = _present(space, flag, max_degree, cap_monomials)
+    presentation, ring = _present(space, max_degree, cap_monomials)
     depth = relation_degree or default_relation_degree(presentation)
     gamma = ring.semigroup(max(max_degree, depth))
     return run_degeneration(presentation, gamma, depth, matrix_cap)
@@ -636,7 +634,6 @@ class CompatibilityRecord:
 def subsystem_compatibility(
     subsystem: SectionSpace,
     space: SectionSpace,
-    flag: FlagSpec,
     max_degree: int,
     relation_degree: int | None = None,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
@@ -645,12 +642,12 @@ def subsystem_compatibility(
     """A single weight vector valid for both degenerations, plus body inclusion."""
     if not is_subspace(subsystem, space):
         raise ValidationError("the subsystem is not contained in the ambient system")
-    systems = [_present(v, flag, max_degree, cap_monomials) for v in (space, subsystem)]
+    systems = [_present(v, max_degree, cap_monomials) for v in (space, subsystem)]
     depth = relation_degree or max(default_relation_degree(p) for p, _ in systems)
     union = set().union(
         *(_difference_points(p, kernel_ideal_truncated(p, depth, matrix_cap)) for p, _ in systems)
     )
-    shared_pi = choose_weight_vector(union, dim=flag.dim)
+    shared_pi = choose_weight_vector(union, dim=len(space.variables))
     body_big, body_small = (okounkov_body_estimate(r.semigroup(max_degree)) for _, r in systems)
     inclusion = all(body_big.contains(v) for v in body_small.vertices)
     return CompatibilityRecord(shared_pi, inclusion, max_degree, depth)
@@ -666,30 +663,27 @@ class RestrictionRecord:
 
 def flag_restriction_check(
     space: SectionSpace,
-    flag: FlagSpec,
     r: int,
     max_degree: int,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> RestrictionRecord:
     """Body of the restricted system against the vanishing-coordinate face."""
-    if not 0 <= r <= flag.dim:
+    dim = len(space.variables)
+    if not 0 <= r <= dim:
         raise ValidationError(f"restriction index {r} out of range")
-    ambient_body = okounkov_body_estimate(
-        build_gamma(space, flag, max_degree, cap_monomials)
-    )
+    ambient_body = okounkov_body_estimate(build_gamma(space, max_degree, cap_monomials))
     if r == 0:
         return RestrictionRecord(ambient_body, ambient_body, True, max_degree)
-    restricted = restricted_system(space, flag, (0,) * r)
+    restricted = restricted_system(space, (0,) * r)
     if restricted.is_zero:
         raise ValidationError(
             "every section vanishes on the flag member; restriction undefined"
         )
-    if r == flag.dim:
+    if r == dim:
         restricted_body = RationalPolytope(0, ((),), (), 0)
     else:
-        rest_flag = FlagSpec(restricted.variables)
         restricted_body = okounkov_body_estimate(
-            build_gamma(restricted, rest_flag, max_degree, cap_monomials)
+            build_gamma(restricted, max_degree, cap_monomials)
         )
     face = face_restriction(ambient_body, r)
     return RestrictionRecord(

@@ -11,7 +11,6 @@ from .fields import QQ, PrimeField
 from .polynomials import Polynomial, parse_polynomial
 from .degeneration import DEFAULT_MATRIX_CAP
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, reduce_to_basis
-from .valuation import FlagSpec
 
 
 @dataclass(frozen=True)
@@ -69,17 +68,14 @@ class JobSpec:
     def is_abstract(self) -> bool:
         return self.semigroup_generators is not None
 
-    def flag(self) -> FlagSpec:
-        if self.variables is None:
-            raise ValidationError("this job has no polynomial variables")
-        return FlagSpec(tuple(self.variables))
-
     def generator_points(self) -> list[tuple[int, tuple[int, ...]]]:
         return [(g[0], tuple(g[1:])) for g in self.semigroup_generators]
 
     def parse_sections(self, strings) -> list[Polynomial]:
         fld = self.coefficient_field
         variables = tuple(self.variables)
+        if len(set(variables)) != len(variables):  # an empty section list parses nothing
+            raise ValidationError("variable names must be nonempty and distinct")
         polys = [parse_polynomial(s, variables, fld, self.cap_monomials) for s in strings]
         if self.change_of_coordinates is not None:
             matrix_rows = self.change_of_coordinates
@@ -94,7 +90,7 @@ class JobSpec:
             if len(form.rows) != len(variables):
                 raise ValidationError("coordinate change must be invertible")
             images = {v: _linear_form(variables, row) for v, row in zip(variables, matrix)}
-            polys = [p.substitute(images, variables) for p in polys]
+            polys = [p.substitute(images, variables, self.cap_monomials) for p in polys]
         return polys
 
     def space_of(self, polys) -> SectionSpace:

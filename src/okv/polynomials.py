@@ -138,11 +138,14 @@ class Polynomial:
                 )
         return result
 
-    def substitute(self, values: Mapping[str, "Polynomial"], variables: Iterable[str]) -> "Polynomial":
+    def substitute(self, values: Mapping[str, "Polynomial"], variables: Iterable[str],
+                   cap_monomials: int | None = None) -> "Polynomial":
         """Evaluate with each variable replaced by a polynomial in `variables`.
 
         Variables missing from `values` are kept, and must then be present in
-        the target variable list.
+        the target variable list.  With a cap, ResourceCapError as soon as a
+        power of an image or a product of such powers has more than
+        cap_monomials terms, before anything larger is expanded.
         """
         target = tuple(variables)
         images = {}
@@ -162,7 +165,12 @@ class Polynomial:
             term = Polynomial.constant(target, c)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * images[i] ** e
+                    term = term * images[i].power(e, cap_monomials)
+                    if cap_monomials is not None and len(term.terms) > cap_monomials:
+                        raise ResourceCapError(
+                            f"monomial cap exceeded substituting coordinates: "
+                            f"{len(term.terms)} > {cap_monomials}"
+                        )
             total = total + term
         return total
 

@@ -315,26 +315,27 @@ def polytope_from_halfspaces(halfspaces, ambient_dim: int) -> RationalPolytope:
     return convex_hull(candidates)
 
 
-def lattice_points(
-    poly: RationalPolytope, dilation: int = 1, cap_monomials: int = DEFAULT_MONOMIAL_CAP
-) -> set:
-    """All integer points of the dilated polytope, in integer arithmetic.
+def _lattice_runs(poly: RationalPolytope, dilation: int, cap_monomials: int):
+    """The integer points of the dilated polytope as runs (prefix, xs), the
+    points prefix + (x,) for x in the range xs, one per point of the bounding
+    box of the first d-1 coordinates; in dimension 0, ((), range(1)) is ().
 
     An integer point x lies in the dilation exactly when <n, x> <=
-    floor(dilation * c) for every halfspace, since the normals are integer.
-    The scan runs over the bounding box of the first d-1 coordinates, and
-    the halfspaces give the range of the last coordinate directly.  The
-    points of the whole bounding box, which bound both the scan and the
+    floor(dilation * c) for every halfspace, since the normals are integer,
+    so the halfspaces give the range of xs directly, in integer arithmetic.
+    The points of the whole bounding box, which bound the scan and the
     result, are checked against the monomial cap before the scan.
     """
     if dilation < 1:
         raise ValidationError("dilation factor must be at least 1")
     if poly.is_empty:
-        return set()
+        return
     bounds = [(n, floor(dilation * c)) for n, c in poly.halfspaces]
     d = poly.ambient_dim
     if d == 0:
-        return {()} if all(b >= 0 for _, b in bounds) else set()
+        if all(b >= 0 for _, b in bounds):
+            yield (), range(1)
+        return
     lo = [ceil(min(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     hi = [floor(max(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     box = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
@@ -342,7 +343,6 @@ def lattice_points(
         raise ResourceCapError(
             f"monomial cap exceeded by the lattice scan box: {box} > {cap_monomials}"
         )
-    found = set()
     for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
         low, high = lo[-1], hi[-1]
         for n, b in bounds:
@@ -355,8 +355,25 @@ def lattice_points(
             elif slack < 0:
                 high = low - 1
                 break
-        found.update(prefix + (x,) for x in range(low, high + 1))
-    return found
+        yield prefix, range(low, high + 1)
+
+
+def lattice_points(
+    poly: RationalPolytope, dilation: int = 1, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+) -> set:
+    """All integer points of the dilated polytope (see `_lattice_runs`)."""
+    runs = _lattice_runs(poly, dilation, cap_monomials)
+    if poly.ambient_dim == 0:
+        return {() for _ in runs}
+    return {prefix + (x,) for prefix, xs in runs for x in xs}
+
+
+def lattice_count(
+    poly: RationalPolytope, dilation: int = 1, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+) -> int:
+    """The number of integer points of the dilated polytope, counted run by
+    run without building them (see `_lattice_runs`)."""
+    return sum(len(xs) for _, xs in _lattice_runs(poly, dilation, cap_monomials))
 
 
 def face_restriction(poly: RationalPolytope, r: int) -> RationalPolytope:
@@ -383,14 +400,15 @@ def polytopes_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
 
 
 def normalized_volume(
-    poly: RationalPolytope, cap_monomials: int = DEFAULT_MONOMIAL_CAP
+    poly: RationalPolytope, cap_monomials: int = DEFAULT_MONOMIAL_CAP, counts=()
 ) -> int:
     """Lattice-normalized volume (dimension factorial times the volume).
 
     Computed as the top finite difference of the lattice-point counts of the
     first dilations, so it requires integer vertices; full-dimensional
     comparisons across examples use this together with vertex and lattice
-    counts.  Each dilation's scan is bounded by `cap_monomials`.
+    counts.  `counts` may give the counts of the dilations 1, 2, ... already
+    known; each other dilation is counted by a scan bounded by `cap_monomials`.
     """
     if poly.is_empty:
         return 0
@@ -399,9 +417,8 @@ def normalized_volume(
     d = poly.affine_dim
     if d == 0:
         return 1
-    counts = [1] + [
-        len(lattice_points(poly, k, cap_monomials)) for k in range(1, d + 1)
-    ]
+    counts = [1, *counts[:d]]
+    counts += [lattice_count(poly, k, cap_monomials) for k in range(len(counts), d + 1)]
     total = 0
     sign = 1 if d % 2 == 0 else -1
     binom = 1

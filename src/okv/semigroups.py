@@ -39,7 +39,7 @@ from .errors import InvariantError, ResourceCapError, ValidationError
 from .polynomials import Polynomial, polynomial_field
 from .polytopes import RationalPolytope, convex_hull, lattice_points
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace
-from .valuation import FlagSpec, nu
+from .valuation import nu
 
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 
@@ -159,11 +159,10 @@ class Subduction:
     every subduction remainder and of every lift, before they are formed.
     """
 
-    def __init__(self, space: SectionSpace, flag: FlagSpec,
-                 cap_monomials: int = DEFAULT_MONOMIAL_CAP):
+    def __init__(self, space: SectionSpace, cap_monomials: int = DEFAULT_MONOMIAL_CAP):
         if space.is_zero:
             raise ValidationError("cannot build a value semigroup from the zero space")
-        self.variables, self.dim, self.cap = space.variables, flag.dim, cap_monomials
+        self.variables, self.dim, self.cap = space.variables, len(space.variables), cap_monomials
         # every value of degree m is an exponent of V^m, so its coordinates
         # are at most m times the largest exponent coordinate in V
         self.extent = max(1, max(c for p in space.basis for e, _ in p.terms for c in e))
@@ -177,7 +176,7 @@ class Subduction:
         self.slices = [{0: 0}, {}]
         self.frozen = [frozenset({(0,) * self.dim})]
         for p in space.basis:
-            self._add_generator(1, self.packing.pack(nu(p, flag)), p)
+            self._add_generator(1, self.packing.pack(nu(p)), p)
 
     def semigroup(self, max_degree: int) -> GradedSemigroup:
         """Gamma truncated at `max_degree`, with its minimal generators."""
@@ -297,13 +296,12 @@ class Subduction:
 
 def build_gamma(
     space: SectionSpace,
-    flag: FlagSpec,
     max_degree: int,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> GradedSemigroup:
     """Valuation images of all powers of a section space up to a degree, with
     their minimal generators, by subduction."""
-    return Subduction(space, flag, cap_monomials).semigroup(max_degree)
+    return Subduction(space, cap_monomials).semigroup(max_degree)
 
 
 def gamma_from_slices(slices, dim: int) -> GradedSemigroup:

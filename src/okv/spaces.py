@@ -96,14 +96,18 @@ def product_space(
     )
 
 
+def _echelon(space: SectionSpace) -> Echelon:
+    form = Echelon()
+    for p in space.basis:
+        form.insert(dict(p.terms))
+    return form
+
+
 def reduce_mod(space: SectionSpace, poly: Polynomial) -> Polynomial:
     """Residue of a polynomial after reducing against the basis."""
     if poly.variables != space.variables:
         raise ValidationError("variable mismatch in reduction")
-    form = Echelon()
-    for p in space.basis:
-        form.insert(dict(p.terms))
-    return Polynomial.from_dict(space.variables, form.reduce(dict(poly.terms)))
+    return Polynomial.from_dict(space.variables, _echelon(space).reduce(dict(poly.terms)))
 
 
 def contains(space: SectionSpace, poly: Polynomial) -> bool:
@@ -112,4 +116,8 @@ def contains(space: SectionSpace, poly: Polynomial) -> bool:
 
 
 def is_subspace(inner: SectionSpace, outer: SectionSpace) -> bool:
-    return all(contains(outer, p) for p in inner.basis)
+    """Exact inclusion: `inner`'s basis reduced against one echelon of `outer`."""
+    if inner.basis and inner.variables != outer.variables:
+        raise ValidationError("variable mismatch in reduction")
+    form = _echelon(outer)
+    return not any(form.reduce(dict(p.terms)) for p in inner.basis)

@@ -1,9 +1,11 @@
 """Coordinate-flag valuations on polynomial sections and restricted systems.
 
-The flag through declared local coordinates (x_1, ..., x_d) has members
-Y_r = {x_1 = ... = x_r = 0}.  On a nonzero polynomial the valuation is the
-lex-min exponent vector (first coordinate compared first); on a reduced
-section space its image is exactly the set of leading exponents.
+The flag is the order of the declared variables: a polynomial or section
+space over (x_1, ..., x_d) is valued along the flag with members
+Y_r = {x_1 = ... = x_r = 0}, so reordering the variables changes the flag.
+On a nonzero polynomial the valuation is the lex-min exponent vector (first
+coordinate compared first); on a reduced section space its image is exactly
+the set of leading exponents.
 """
 
 from __future__ import annotations
@@ -15,53 +17,27 @@ from .polynomials import Polynomial
 from .spaces import SectionSpace, reduce_to_basis
 
 
-@dataclass(frozen=True)
-class FlagSpec:
-    """An ordered variable list; position r cuts out the flag member Y_r."""
-
-    variables: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.variables:
-            raise ValidationError("a flag needs at least one coordinate")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValidationError("flag coordinate names must be distinct")
-        object.__setattr__(self, "variables", tuple(self.variables))
-
-    @property
-    def dim(self) -> int:
-        return len(self.variables)
-
-
-def _check_flag(space_or_poly, flag: FlagSpec) -> None:
-    if space_or_poly.variables != flag.variables:
-        raise ValidationError(
-            f"flag variables {flag.variables} do not match {space_or_poly.variables}"
-        )
-
-
-def nu(f: Polynomial, flag: FlagSpec) -> tuple:
+def nu(f: Polynomial) -> tuple:
     """Valuation vector of a nonzero polynomial: its lex-min exponent."""
-    _check_flag(f, flag)
     if f.is_zero:
         raise ValidationError("valuation of the zero polynomial is undefined")
     return f.leading_exponent()
 
 
-def nu_image(space: SectionSpace, flag: FlagSpec) -> set:
+def nu_image(space: SectionSpace) -> set:
     """Exact valuation image of a space; one point per basis element."""
-    _check_flag(space, flag)
     return {p.leading_exponent() for p in space.basis}
 
 
-def nu_prefix_image(space: SectionSpace, flag: FlagSpec, r: int) -> set:
+def nu_prefix_image(space: SectionSpace, r: int) -> set:
     """Image of the valuation truncated to the first r coordinates."""
-    if not 0 <= r <= flag.dim:
-        raise ValidationError(f"prefix length {r} out of range 0..{flag.dim}")
-    return {u[:r] for u in nu_image(space, flag)}
+    dim = len(space.variables)
+    if not 0 <= r <= dim:
+        raise ValidationError(f"prefix length {r} out of range 0..{dim}")
+    return {u[:r] for u in nu_image(space)}
 
 
-def restricted_system(space: SectionSpace, flag: FlagSpec, orders) -> SectionSpace:
+def restricted_system(space: SectionSpace, orders) -> SectionSpace:
     """Sections of prescribed vanishing orders along the leading flag members.
 
     For each prescribed order a_i in turn: keep the sections of order at
@@ -69,9 +45,8 @@ def restricted_system(space: SectionSpace, flag: FlagSpec, orders) -> SectionSpa
     and restrict to the flag member by setting the variable to zero.  The
     result lives in the remaining variables; an empty space is a value.
     """
-    _check_flag(space, flag)
     orders = tuple(orders)
-    if len(orders) > flag.dim:
+    if len(orders) > len(space.variables):
         raise ValidationError("more prescribed orders than flag coordinates")
     if any(a < 0 for a in orders):
         raise ValidationError("prescribed vanishing orders must be non-negative")
@@ -103,13 +78,12 @@ def saturation_from_values(values) -> SaturationRecord:
     return SaturationRecord(len(values) == hi - lo + 1, values, (lo, hi))
 
 
-def saturation_check(space: SectionSpace, flag: FlagSpec, orders) -> SaturationRecord:
+def saturation_check(space: SectionSpace, orders) -> SaturationRecord:
     """Saturation of the restricted system along the next flag member."""
-    if len(tuple(orders)) >= flag.dim:
+    if len(tuple(orders)) >= len(space.variables):
         raise ValidationError("no flag member remains to measure saturation against")
-    restricted = restricted_system(space, flag, orders)
+    restricted = restricted_system(space, orders)
     if restricted.is_zero:
         raise ValidationError("restricted system is zero; saturation undefined")
-    rest_flag = FlagSpec(restricted.variables)
-    firsts = {u[0] for u in nu_image(restricted, rest_flag)}
+    firsts = {u[0] for u in nu_image(restricted)}
     return saturation_from_values(firsts)

@@ -4,7 +4,6 @@ import pytest
 
 from okv.polynomials import parse_polynomial
 from okv.spaces import reduce_to_basis
-from okv.valuation import FlagSpec
 
 COUNTEREXAMPLE_SECTIONS = ("1", "x", "y + x*y^3", "x*y")
 
@@ -31,15 +30,5 @@ def counterexample_space():
 
 
 @pytest.fixture
-def counterexample_flag():
-    return FlagSpec(("x", "y"))
-
-
-@pytest.fixture
 def bott_samelson_space():
     return space_from(BOTT_SAMELSON_SECTIONS, ("x", "y", "z"))
-
-
-@pytest.fixture
-def bott_samelson_flag():
-    return FlagSpec(("x", "y", "z"))

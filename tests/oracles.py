@@ -104,15 +104,15 @@ def oracle_degree_one_generation(slices):
     return "generated-in-degree-one", None
 
 
-def product_loop_slices(space, flag, max_degree):
+def product_loop_slices(space, max_degree):
     """A section space's slices as okv built them before subduction: the
     valuation image of every power space, one product_space per degree."""
-    slices = [{(0,) * flag.dim}]
+    slices = [{(0,) * len(space.variables)}]
     power = space
     for m in range(1, max_degree + 1):
         if m > 1:
             power = product_space(power, space)
-        slices.append(nu_image(power, flag))
+        slices.append(nu_image(power))
     return [frozenset(s) for s in slices]
 
 

@@ -42,7 +42,7 @@ from okv.semigroups import (
     semigroup_normality_check,
 )
 from okv.spaces import contains, product_space, reduce_to_basis
-from okv.valuation import FlagSpec, nu_image, restricted_system
+from okv.valuation import nu_image, restricted_system
 
 from oracles import oracle_lattice_points, oracle_sumset_slices, sumset
 
@@ -91,20 +91,19 @@ def test_criterion_01_valuation_table():
 def test_criterion_02_square_growth():
     job = load_fixture("counterexample-p1xp1")
     space = job.section_space()
-    flag = job.flag()
-    image = nu_image(space, flag)
+    image = nu_image(space)
     assert image == {(0, 0), (1, 0), (0, 1), (1, 1)}
     square = product_space(space, space)
-    square_image = nu_image(square, flag)
+    square_image = nu_image(square)
     assert len(square_image) == 10 and (2, 3) in square_image
     assert square_image == sumset(image, image) | {(2, 3)}
-    gamma = build_gamma(space, flag, 2)
+    gamma = build_gamma(space, 2)
     report = check_degree_one_generation(gamma)
     assert report.status == "strict-growth" and report.witness == (2, (2, 3))
-    restricted = restricted_system(square, flag, (2,))
+    restricted = restricted_system(square, (2,))
     y_cubed = parse_polynomial("y^3", ("y",))
     assert contains(restricted, y_cubed)
-    v1 = restricted_system(space, flag, (1,))
+    v1 = restricted_system(space, (1,))
     assert not contains(product_space(v1, v1), y_cubed)
 
 
@@ -143,11 +142,11 @@ def test_criterion_05_normality():
     record = semigroup_normality_check(gamma_from_generators(ELLIPTIC_GOOD, 1))
     assert not record.normal and record.missing == frozenset({(2,)})
     job = load_fixture("bott-samelson-u")
-    space, flag = job.section_space(), job.flag()
+    space = job.section_space()
     verdict = run("check", job, "normality")["result"]["normality"]
     assert verdict["normal"] is True
-    body = okounkov_body_estimate(build_gamma(space, flag, 3))
-    base_points = sorted(nu_image(space, flag))
+    body = okounkov_body_estimate(build_gamma(space, 3))
+    base_points = sorted(nu_image(space))
     assert lattice_points(body, 1) == set(base_points)
     assert len(lattice_points(body, 1)) == 8
     assert oracle_lattice_points(base_points, 1) == set(base_points)
@@ -178,8 +177,8 @@ def test_criterion_06_monomial_curve_degeneration():
 @criterion("07 full-pipeline", 30)
 def test_criterion_07_full_pipeline():
     job = load_fixture("counterexample-p1xp1")
-    space, flag = job.section_space(), job.flag()
-    pres = build_presentation(space, flag, 2)
+    space = job.section_space()
+    pres = build_presentation(space, 2)
     assert pres.size == 5
     lift_x2y3 = pres.generator_by_degree((2, (2, 3))).lift
     assert lift_x2y3 == parse_polynomial("x^2*y^3", ("x", "y"))
@@ -204,7 +203,7 @@ def test_criterion_07_full_pipeline():
     assert specialize_rees(rel, pres, QQ(0)) == rel.initial
     assert specialize_rees(rel, pres, QQ(1)) == rel.poly
     assert fiber_check(enriched, pres, pi, QQ(2))
-    gamma = build_gamma(space, flag, 4)
+    gamma = build_gamma(space, 4)
     report = flatness_report(pres, enriched, gamma, 4)
     assert report.verdict and report.binomial_initial
     # negative control: claiming only the degree-one generators degenerates
@@ -283,7 +282,7 @@ def test_criterion_09_polytopes():
 @criterion("10 face-restriction", 10)
 def test_criterion_10_face_restriction():
     job = load_fixture("bott-samelson-u")
-    record = flag_restriction_check(job.section_space(), job.flag(), 1, 3)
+    record = flag_restriction_check(job.section_space(), 1, 3)
     assert record.match
     expected = [(0, 0), (0, 1), (1, 1), (2, 0)]
     assert list(record.restricted_body.vertices) == expected
@@ -299,7 +298,6 @@ def test_criterion_10_face_restriction():
 def test_criterion_11_invariant_suites():
     rng = random.Random(4242)
     variables = ("x", "y")
-    flag = FlagSpec(variables)
 
     def random_poly():
         coeffs = {}
@@ -327,10 +325,10 @@ def test_criterion_11_invariant_suites():
         polys = [random_poly() for _ in range(rng.randint(1, 6))]
         space = reduce_to_basis(polys, variables=variables)
         assert reduce_to_basis(space.basis, variables=variables).basis == space.basis
-        assert len(nu_image(space, flag)) == space.dimension
+        assert len(nu_image(space)) == space.dimension
 
     job = load_fixture("counterexample-p1xp1")
-    gamma = build_gamma(job.section_space(), job.flag(), 3)
+    gamma = build_gamma(job.section_space(), 3)
     for a in range(1, 3):
         for b in range(1, 4 - a):
             assert sumset(gamma.slice(a), gamma.slice(b)) <= set(gamma.slice(a + b))

@@ -488,6 +488,40 @@ def test_capped_power_exits_two_before_expanding(tmp_path, capsys):
     assert "expanding a power" in result[2]
 
 
+def test_capped_coordinate_change_exits_two_before_expanding(tmp_path, capsys):
+    # x maps to x + y + z, and (x + y + z)^300 has 45451 terms
+    job = {
+        "variables": ["x", "y", "z"],
+        "sections": ["x^300"],
+        "change_of_coordinates": [["1", "1", "1"], ["0", "1", "0"], ["0", "0", "1"]],
+        "max_degree": 1,
+        "cap_monomials": 10,
+    }
+    started = time.perf_counter()
+    result = run_job_file(tmp_path, capsys, job)
+    assert_cap_exit_within(1.0, *result, started)
+    assert "monomial cap" in result[2]
+
+
+def test_the_flag_is_the_declared_variable_order(tmp_path, capsys):
+    values = {}
+    for variables in (("x", "y"), ("y", "x")):
+        job = {"variables": list(variables), "sections": ["x + y^2"], "max_degree": 1}
+        code, out, err = run_job_file(tmp_path, capsys, job)
+        assert code == 0 and not err
+        values[variables] = json.loads(out)["result"]["valuations"][0]["value"]
+    assert values == {("x", "y"): [0, 2], ("y", "x"): [0, 1]}
+
+
+@pytest.mark.parametrize("sections", [["x"], []], ids=["sections", "no-sections"])
+@pytest.mark.parametrize("command", ["nu", "semigroup", "degenerate"])
+def test_repeated_variable_names_exit_one(tmp_path, capsys, sections, command):
+    job = {"variables": ["x", "x"], "sections": sections, "max_degree": 1}
+    code, out, err = run_job_file(tmp_path, capsys, job, command)
+    assert_validation_exit(code, out, err)
+    assert "variable names must be nonempty and distinct" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["semigroup", "--fixture", "bott-samelson-u", "--max-degree", "two"], "invalid int value"),
     (["bogus"], "invalid choice"),
@@ -532,20 +566,37 @@ def test_matrix_cap_below_one_exits_one(tmp_path, capsys):
 def test_body_normalized_volume_keeps_the_job_monomial_cap(tmp_path, capsys, monkeypatch):
     # a 700 x 700 triangle: its first lattice scan box alone has 491401 points
     caps = []
-    original = polytopes.lattice_points
+    original = polytopes.lattice_count
 
     def recording(poly, dilation=1, cap_monomials=polytopes.DEFAULT_MONOMIAL_CAP):
         caps.append(cap_monomials)
         return original(poly, dilation, cap_monomials)
 
-    monkeypatch.setattr(polytopes, "lattice_points", recording)
-    monkeypatch.setattr(cli, "lattice_points", recording)
+    monkeypatch.setattr(polytopes, "lattice_count", recording)
+    monkeypatch.setattr(cli, "lattice_count", recording)
     job = {"semigroup_generators": [[1, 0, 0], [1, 700, 0], [1, 0, 700]],
            "max_degree": 1, "cap_monomials": 100}
     code, out, err = run_job_file(tmp_path, capsys, job, command="body")
     assert code == 2 and not out
     assert "lattice scan box: 491401 > 100" in err
     assert caps and all(cap == 100 for cap in caps)
+
+
+def test_body_counts_each_dilation_once(capsys, monkeypatch):
+    dilations = []
+    original = polytopes.lattice_count
+
+    def recording(poly, dilation=1, cap_monomials=polytopes.DEFAULT_MONOMIAL_CAP):
+        dilations.append(dilation)
+        return original(poly, dilation, cap_monomials)
+
+    monkeypatch.setattr(polytopes, "lattice_count", recording)
+    monkeypatch.setattr(cli, "lattice_count", recording)
+    code, out, _ = run_main(capsys, "body", "--fixture", "bott-samelson-u")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert dilations == [1, 2, 3]
+    assert result["lattice_count"] == 8
 
 
 def module_env():

@@ -103,8 +103,8 @@ def test_weight_vector_equals_pairwise_gap_loop(case):
 # ---------------------------------------------------------------------------
 # Presentations.
 
-def test_presentation_counterexample_generators(counterexample_space, counterexample_flag):
-    pres = build_presentation(counterexample_space, counterexample_flag, 2)
+def test_presentation_counterexample_generators(counterexample_space):
+    pres = build_presentation(counterexample_space, 2)
     assert pres.labels == ("X1", "X2", "X3", "X4", "X5")
     assert pres.degrees == (
         (1, (0, 0)),
@@ -125,9 +125,8 @@ def test_presentation_from_abstract_generators():
 
 def test_presentation_single_generator():
     space = reduce_to_basis([parse_polynomial("x", ("x", "y"))])
-    from okv.valuation import FlagSpec
 
-    pres = build_presentation(space, FlagSpec(("x", "y")), 2)
+    pres = build_presentation(space, 2)
     assert pres.size == 1
 
 
@@ -149,10 +148,8 @@ def expected_counterexample_relation(pres):
     )
 
 
-def test_kernel_counterexample_contains_product_relation(
-    counterexample_space, counterexample_flag
-):
-    pres = build_presentation(counterexample_space, counterexample_flag, 2)
+def test_kernel_counterexample_contains_product_relation(counterexample_space):
+    pres = build_presentation(counterexample_space, 2)
     kernel = kernel_ideal_truncated(pres, 2)
     assert len(kernel.relations) == 1
     rel = kernel.relations[0]
@@ -181,10 +178,8 @@ def test_kernel_free_at_low_degree():
     assert kernel.relations == ()
 
 
-def test_kernel_skips_multiples_of_lower_relations(
-    counterexample_space, counterexample_flag
-):
-    pres = build_presentation(counterexample_space, counterexample_flag, 2)
+def test_kernel_skips_multiples_of_lower_relations(counterexample_space):
+    pres = build_presentation(counterexample_space, 2)
     kernel = kernel_ideal_truncated(pres, 4)
     degrees = [rel.degree[0] for rel in kernel.relations]
     # one fresh binomial generator in degree 3, nothing new in degree 4
@@ -247,17 +242,15 @@ def test_kernel_builds_one_echelon_per_degree_and_reduces_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 # Initial forms, Rees relations, fibers.
 
-def make_counterexample_family(space, flag, depth=4):
-    pres = build_presentation(space, flag, 2)
+def make_counterexample_family(space, depth=4):
+    pres = build_presentation(space, 2)
     kernel = kernel_ideal_truncated(pres, depth)
     pi = weight_vector_for(pres, kernel)
     return pres, rees_relations(kernel, pres, pi), pi
 
 
-def test_initial_form_counterexample(counterexample_space, counterexample_flag):
-    pres, relset, pi = make_counterexample_family(
-        counterexample_space, counterexample_flag
-    )
+def test_initial_form_counterexample(counterexample_space):
+    pres, relset, pi = make_counterexample_family(counterexample_space)
     rel = relset.relations[0]
     expected = Polynomial.from_dict(
         pres.labels,
@@ -289,10 +282,8 @@ def test_initial_form_homogeneous_relation_is_itself():
     assert all(exp[-1] == 0 for exp, _ in rel.rees.terms)
 
 
-def test_rees_specializations(counterexample_space, counterexample_flag):
-    pres, relset, pi = make_counterexample_family(
-        counterexample_space, counterexample_flag
-    )
+def test_rees_specializations(counterexample_space):
+    pres, relset, pi = make_counterexample_family(counterexample_space)
     rel = relset.relations[0]
     assert specialize_rees(rel, pres, QQ(1)) == rel.poly
     assert specialize_rees(rel, pres, QQ(0)) == rel.initial
@@ -304,12 +295,8 @@ def test_rees_specializations(counterexample_space, counterexample_flag):
     assert len(diff.terms) == 1
 
 
-def test_fiber_check_true_and_negative_control(
-    counterexample_space, counterexample_flag
-):
-    pres, relset, pi = make_counterexample_family(
-        counterexample_space, counterexample_flag
-    )
+def test_fiber_check_true_and_negative_control(counterexample_space):
+    pres, relset, pi = make_counterexample_family(counterexample_space)
     assert fiber_check(relset, pres, pi, QQ(1))
     assert fiber_check(relset, pres, pi, QQ(2))
     corrupted = []
@@ -343,11 +330,9 @@ def test_flatness_elliptic_good():
     assert report.flatness.binomial_initial
 
 
-def test_flatness_counterexample_full_pipeline(
-    counterexample_space, counterexample_flag
-):
+def test_flatness_counterexample_full_pipeline(counterexample_space):
     report = degenerate_section_space(
-        counterexample_space, counterexample_flag, 2, relation_degree=4
+        counterexample_space, 2, relation_degree=4
     )
     assert report.relation_degree == 4
     assert report.flatness.verdict
@@ -355,9 +340,7 @@ def test_flatness_counterexample_full_pipeline(
     assert all(w > 0 for w in report.generator_weights)
 
 
-def test_flatness_negative_control_dropped_generator(
-    counterexample_space, counterexample_flag
-):
+def test_flatness_negative_control_dropped_generator(counterexample_space):
     """Dropping the degree-two generator shrinks the claimed toric fiber.
 
     The quotient ring is still ten-dimensional in degree two (the section
@@ -365,7 +348,7 @@ def test_flatness_negative_control_dropped_generator(
     by the remaining degrees only reaches nine points there, and the report
     catches the mismatch.
     """
-    pres = build_presentation(counterexample_space, counterexample_flag, 2)
+    pres = build_presentation(counterexample_space, 2)
     from okv.degeneration import Presentation
 
     crippled = Presentation(pres.generators[:4], pres.model_variables, pres.field)
@@ -381,13 +364,13 @@ def test_flatness_negative_control_dropped_generator(
     assert degree_two.semigroup_count == 9
 
 
-def test_default_relation_degree(counterexample_space, counterexample_flag):
-    pres = build_presentation(counterexample_space, counterexample_flag, 2)
+def test_default_relation_degree(counterexample_space):
+    pres = build_presentation(counterexample_space, 2)
     assert default_relation_degree(pres) == 4
 
 
-def test_all_relations_vanish_symbolically(bott_samelson_space, bott_samelson_flag):
-    report = degenerate_section_space(bott_samelson_space, bott_samelson_flag, 2)
+def test_all_relations_vanish_symbolically(bott_samelson_space):
+    report = degenerate_section_space(bott_samelson_space, 2)
     pres = report.presentation
     lifts = {lab: g.lift for lab, g in zip(pres.labels, pres.generators)}
     assert len(report.relations.relations) == 9
@@ -398,9 +381,9 @@ def test_all_relations_vanish_symbolically(bott_samelson_space, bott_samelson_fl
     assert report.flatness.verdict and report.flatness.binomial_initial
 
 
-def test_hilbert_semicontinuity(counterexample_space, counterexample_flag):
+def test_hilbert_semicontinuity(counterexample_space):
     report = degenerate_section_space(
-        counterexample_space, counterexample_flag, 2, relation_degree=4
+        counterexample_space, 2, relation_degree=4
     )
     for row in report.flatness.rows:
         assert row.initial_quotient_dim >= row.quotient_dim
@@ -409,53 +392,53 @@ def test_hilbert_semicontinuity(counterexample_space, counterexample_flag):
 # ---------------------------------------------------------------------------
 # Compatibility records.
 
-def test_subsystem_compatibility_self(counterexample_space, counterexample_flag):
+def test_subsystem_compatibility_self(counterexample_space):
     record = subsystem_compatibility(
-        counterexample_space, counterexample_space, counterexample_flag, 2
+        counterexample_space, counterexample_space, 2
     )
     assert record.body_inclusion
 
 
-def test_subsystem_compatibility_proper(counterexample_space, counterexample_flag):
+def test_subsystem_compatibility_proper(counterexample_space):
     sub = reduce_to_basis(
         [parse_polynomial(s, ("x", "y")) for s in ("1", "x", "x*y")]
     )
-    record = subsystem_compatibility(sub, counterexample_space, counterexample_flag, 2)
+    record = subsystem_compatibility(sub, counterexample_space, 2)
     assert record.body_inclusion
     assert len(record.shared_pi.alphas) == 3
 
 
-def test_subsystem_compatibility_point(counterexample_space, counterexample_flag):
+def test_subsystem_compatibility_point(counterexample_space):
     sub = reduce_to_basis([parse_polynomial("x", ("x", "y"))])
-    record = subsystem_compatibility(sub, counterexample_space, counterexample_flag, 2)
+    record = subsystem_compatibility(sub, counterexample_space, 2)
     assert record.body_inclusion
 
 
-def test_subsystem_must_be_contained(counterexample_space, counterexample_flag):
+def test_subsystem_must_be_contained(counterexample_space):
     outside = reduce_to_basis([parse_polynomial("y", ("x", "y"))])
     with pytest.raises(ValidationError):
-        subsystem_compatibility(outside, counterexample_space, counterexample_flag, 2)
+        subsystem_compatibility(outside, counterexample_space, 2)
 
 
-def test_flag_restriction_bott_samelson(bott_samelson_space, bott_samelson_flag):
-    record = flag_restriction_check(bott_samelson_space, bott_samelson_flag, 1, 3)
+def test_flag_restriction_bott_samelson(bott_samelson_space):
+    record = flag_restriction_check(bott_samelson_space, 1, 3)
     assert record.match
     expected = [(0, 0), (0, 1), (1, 1), (2, 0)]
     assert list(record.restricted_body.vertices) == expected
     assert list(record.face.vertices) == expected
 
 
-def test_flag_restriction_trivial(bott_samelson_space, bott_samelson_flag):
-    record = flag_restriction_check(bott_samelson_space, bott_samelson_flag, 0, 2)
+def test_flag_restriction_trivial(bott_samelson_space):
+    record = flag_restriction_check(bott_samelson_space, 0, 2)
     assert record.match
 
 
-def test_flag_restriction_base_locus_error(counterexample_flag):
+def test_flag_restriction_base_locus_error():
     divisible = reduce_to_basis(
         [parse_polynomial(s, ("x", "y")) for s in ("x", "x*y")]
     )
     with pytest.raises(ValidationError):
-        flag_restriction_check(divisible, counterexample_flag, 1, 2)
+        flag_restriction_check(divisible, 1, 2)
 
 
 def test_degenerate_enumerates_each_degree_once(monkeypatch):

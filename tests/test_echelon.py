@@ -157,10 +157,10 @@ def fixture_case(name, field):
         return pres, depth, gamma
     if field is FP:
         job = dataclasses.replace(job, field_spec={"Fp": FP.p})
-    space, flag = job.section_space(), job.flag()
-    pres = build_presentation(space, flag, job.max_degree)
+    space = job.section_space()
+    pres = build_presentation(space, job.max_degree)
     depth = job.relation_degree or 2 * max(pres.grades)
-    return pres, depth, build_gamma(space, flag, max(job.max_degree, depth))
+    return pres, depth, build_gamma(space, max(job.max_degree, depth))
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "F32003"])

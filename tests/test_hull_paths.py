@@ -79,7 +79,7 @@ def test_body_from_generators_equals_hull_of_all_slices(case):
 )
 def test_section_fixture_body_equals_hull_of_all_slices(fixture, max_degree):
     job = load_fixture(fixture, max_degree)
-    gamma = build_gamma(job.section_space(), job.flag(), max_degree)
+    gamma = build_gamma(job.section_space(), max_degree)
     assert_same_polytope(okounkov_body_estimate(gamma), all_slices_hull(gamma))
 
 

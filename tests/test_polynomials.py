@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from okv.errors import ValidationError
+from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ, FpElement, PrimeField, _is_prime
 from okv.polynomials import Polynomial, parse_polynomial
 
@@ -137,6 +137,19 @@ def test_substitute_specializes_variables():
     p = P("x*y + y^2")
     image = p.substitute({"x": P("y", ("y",), QQ)}, ("y",))
     assert image == parse_polynomial("2*y^2", ("y",))
+
+
+def test_substitute_with_a_cap_stops_at_the_first_large_product():
+    # each (x + y + z)^2 has 6 terms; the product of two has 15
+    variables = ("x", "y", "z")
+    form = P("x + y + z", variables)
+    images = {v: form for v in variables}
+    p = P("x^2*y^2*z^2", variables)
+    assert p.substitute(images, variables, cap_monomials=28) == form ** 6
+    with pytest.raises(ResourceCapError, match="substituting coordinates: 15 > 10"):
+        p.substitute(images, variables, cap_monomials=10)
+    with pytest.raises(ResourceCapError, match="expanding a power"):
+        P("x^300", variables).substitute(images, variables, cap_monomials=10)
 
 
 def test_divide_and_drop_first_variable():

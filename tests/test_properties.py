@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 
 from okv.cli import run
 from okv.jobs import load_fixture
-from okv.polynomials import Polynomial
+from okv.polynomials import Polynomial, parse_polynomial
 from okv.polytopes import convex_hull, in_convex_hull
 from okv.report import scalar_str, to_json
 from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
 from okv.spaces import product_space, reduce_to_basis
-from okv.valuation import FlagSpec, nu, nu_image, nu_prefix_image
+from okv.valuation import nu, nu_image, nu_prefix_image
 
 from oracles import sumset
 
 VARS2 = ("x", "y")
-FLAG2 = FlagSpec(VARS2)
 
 
 def coefficients():
@@ -47,8 +46,8 @@ def polynomials(draw, dim=2, max_terms=5):
 
 @given(polynomials(), polynomials())
 def test_valuation_multiplicative(f, g):
-    assert nu(f * g, FLAG2) == tuple(
-        a + b for a, b in zip(nu(f, FLAG2), nu(g, FLAG2))
+    assert nu(f * g) == tuple(
+        a + b for a, b in zip(nu(f), nu(g))
     )
 
 
@@ -57,10 +56,23 @@ def test_valuation_superadditive_on_sums(f, g):
     total = f + g
     if total.is_zero:
         return
-    low = min(nu(f, FLAG2), nu(g, FLAG2))
-    assert nu(total, FLAG2) >= low
-    if nu(total, FLAG2) > low:
-        assert nu(f, FLAG2) == nu(g, FLAG2)
+    low = min(nu(f), nu(g))
+    assert nu(total) >= low
+    if nu(total) > low:
+        assert nu(f) == nu(g)
+
+
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, 9), min_size=1, max_size=5),
+    st.permutations(("x", "y", "z")),
+)
+def test_the_flag_is_the_declared_variable_order(terms, order):
+    # terms are exponent vectors over (x, y, z); parsing over a permuted
+    # variable list permutes every exponent vector the same way
+    text = " + ".join(f"{c}*x^{a}*y^{b}*z^{e}" for (a, b, e), c in terms.items())
+    positions = ["xyz".index(v) for v in order]
+    expected = min(tuple(exp[i] for i in positions) for exp in terms)
+    assert nu(parse_polynomial(text, order)) == expected
 
 
 @given(st.lists(polynomials(), min_size=1, max_size=6))
@@ -72,7 +84,7 @@ def test_reduction_idempotent_property(polys):
 @given(st.lists(polynomials(), min_size=1, max_size=5))
 def test_image_size_equals_dimension_property(polys):
     space = reduce_to_basis(polys, variables=VARS2)
-    assert len(nu_image(space, FLAG2)) == space.dimension
+    assert len(nu_image(space)) == space.dimension
 
 
 @given(st.lists(polynomials(), min_size=1, max_size=4), st.lists(polynomials(), min_size=1, max_size=4))
@@ -82,8 +94,8 @@ def test_image_superadditivity(ps, qs):
     if a.is_zero or b.is_zero:
         return
     prod = product_space(a, b)
-    lhs = sumset(nu_image(a, FLAG2), nu_image(b, FLAG2))
-    assert lhs <= nu_image(prod, FLAG2)
+    lhs = sumset(nu_image(a), nu_image(b))
+    assert lhs <= nu_image(prod)
 
 
 @given(st.fractions(max_denominator=50).filter(lambda f: f != 0))
@@ -92,27 +104,25 @@ def test_rational_arithmetic_exact(q):
 
 
 def test_prefix_image_extremes(counterexample_space):
-    assert nu_prefix_image(counterexample_space, FLAG2, 2) == nu_image(
-        counterexample_space, FLAG2
-    )
-    assert nu_prefix_image(counterexample_space, FLAG2, 0) == {()}
+    assert nu_prefix_image(counterexample_space, 2) == nu_image(counterexample_space)
+    assert nu_prefix_image(counterexample_space, 0) == {()}
 
 
 def test_gamma_slices_superadditive(counterexample_space):
-    gamma = build_gamma(counterexample_space, FLAG2, 4)
+    gamma = build_gamma(counterexample_space, 4)
     for a in range(1, 4):
         for b in range(1, 4 - a + 1):
             assert sumset(gamma.slice(a), gamma.slice(b)) <= set(gamma.slice(a + b))
 
 
 def test_body_estimate_monotone(counterexample_space):
-    small = okounkov_body_estimate(build_gamma(counterexample_space, FLAG2, 1))
-    large = okounkov_body_estimate(build_gamma(counterexample_space, FLAG2, 2))
+    small = okounkov_body_estimate(build_gamma(counterexample_space, 1))
+    large = okounkov_body_estimate(build_gamma(counterexample_space, 2))
     assert all(large.contains(v) for v in small.vertices)
 
 
 def test_gamma_slice_counts_match_power_dimensions(counterexample_space):
-    gamma = build_gamma(counterexample_space, FLAG2, 3)
+    gamma = build_gamma(counterexample_space, 3)
     power = counterexample_space
     for m in range(1, 4):
         if m > 1:

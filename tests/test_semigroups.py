@@ -58,19 +58,19 @@ def test_gamma_from_slices_matches_comprehension():
     assert gamma.slice(4) == {(r,) for r in range(12)}
 
 
-def test_build_gamma_counterexample(counterexample_space, counterexample_flag):
-    gamma = build_gamma(counterexample_space, counterexample_flag, 2)
+def test_build_gamma_counterexample(counterexample_space):
+    gamma = build_gamma(counterexample_space, 2)
     assert hilbert_counts(gamma) == [1, 4, 10]
     assert (2, 3) in gamma.slice(2)
 
 
-def test_build_gamma_degree_zero(counterexample_space, counterexample_flag):
-    gamma = build_gamma(counterexample_space, counterexample_flag, 0)
+def test_build_gamma_degree_zero(counterexample_space):
+    gamma = build_gamma(counterexample_space, 0)
     assert hilbert_counts(gamma) == [1]
 
 
-def test_build_gamma_bott_samelson_degree_one(bott_samelson_space, bott_samelson_flag):
-    gamma = build_gamma(bott_samelson_space, bott_samelson_flag, 2)
+def test_build_gamma_bott_samelson_degree_one(bott_samelson_space):
+    gamma = build_gamma(bott_samelson_space, 2)
     assert gamma.slice(1) == {
         (0, 0, 0),
         (1, 0, 0),
@@ -122,25 +122,23 @@ def test_product_dimension_equality_on_monomial_spaces():
     assert product_space(a, b).dimension == a.dimension * b.dimension
 
 
-def test_minimal_generators_regenerate_same_semigroup(
-    counterexample_space, counterexample_flag
-):
-    gamma = build_gamma(counterexample_space, counterexample_flag, 2)
+def test_minimal_generators_regenerate_same_semigroup(counterexample_space):
+    gamma = build_gamma(counterexample_space, 2)
     gens = minimal_generators(gamma)
     assert [g for g in gens if g[0] == 2] == [(2, (2, 3))]
     regenerated = gamma_from_generators(gens, gamma.max_degree)
     assert regenerated.slices == gamma.slices
 
 
-def test_degree_one_generation_strict_growth(counterexample_space, counterexample_flag):
-    gamma = build_gamma(counterexample_space, counterexample_flag, 2)
+def test_degree_one_generation_strict_growth(counterexample_space):
+    gamma = build_gamma(counterexample_space, 2)
     report = check_degree_one_generation(gamma)
     assert report.status == "strict-growth"
     assert report.witness == (2, (2, 3))
 
 
-def test_degree_one_generation_bott_samelson(bott_samelson_space, bott_samelson_flag):
-    gamma = build_gamma(bott_samelson_space, bott_samelson_flag, 3)
+def test_degree_one_generation_bott_samelson(bott_samelson_space):
+    gamma = build_gamma(bott_samelson_space, 3)
     report = check_degree_one_generation(gamma)
     assert report.status == "generated-in-degree-one"
     # oracle: iterated sumsets of the degree-one slice
@@ -167,8 +165,8 @@ def test_okounkov_body_elliptic_good():
     assert body.vertices == ((0,), (3,))
 
 
-def test_okounkov_body_counterexample(counterexample_space, counterexample_flag):
-    gamma = build_gamma(counterexample_space, counterexample_flag, 2)
+def test_okounkov_body_counterexample(counterexample_space):
+    gamma = build_gamma(counterexample_space, 2)
     body = okounkov_body_estimate(gamma)
     assert set(body.vertices) == {(0, 0), (1, 0), (0, 1), (1, Fraction(3, 2))}
 
@@ -187,8 +185,8 @@ def test_normality_elliptic_good_missing_two():
     assert record.missing == frozenset({(2,)})
 
 
-def test_normality_bott_samelson(bott_samelson_space, bott_samelson_flag):
-    record = semigroup_normality_check(build_gamma(bott_samelson_space, bott_samelson_flag, 3))
+def test_normality_bott_samelson(bott_samelson_space):
+    record = semigroup_normality_check(build_gamma(bott_samelson_space, 3))
     assert record.normal
     assert record.lattice_count == 64
     assert record.dilation == 3

@@ -6,6 +6,7 @@ import pytest
 
 from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ
+from okv import spaces
 from okv.polynomials import parse_polynomial
 from okv.spaces import contains, is_subspace, product_space, reduce_mod, reduce_to_basis
 
@@ -127,6 +128,23 @@ def test_subspace_check(counterexample_space):
     small = reduce_to_basis([P("1"), P("x"), P("x*y")])
     assert is_subspace(small, counterexample_space)
     assert not is_subspace(counterexample_space, small)
+
+
+def test_subspace_check_builds_one_echelon(counterexample_space, monkeypatch):
+    built = []
+
+    class Counting(spaces.Echelon):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(spaces, "Echelon", Counting)
+    small = reduce_to_basis([P("1"), P("x"), P("x*y")])
+    built.clear()
+    assert is_subspace(small, counterexample_space)
+    assert len(built) == 1
+    assert all(contains(counterexample_space, p) for p in small.basis)
+    assert len(built) == 1 + small.dimension
 
 
 def test_monomial_cap_enforced():

@@ -28,7 +28,6 @@ from okv.semigroups import (
     minimal_generators,
 )
 from okv.spaces import SectionSpace, reduce_to_basis
-from okv.valuation import FlagSpec
 
 from oracles import (
     oracle_degree_one_generation,
@@ -43,7 +42,7 @@ FIELDS = {"Q": QQ, "F32003": PrimeField(32003)}
 
 @st.composite
 def section_spaces(draw):
-    """(space, flag, max_degree): two to five sections of up to three terms."""
+    """(space, max_degree): two to five sections of up to three terms."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
     exponent = st.tuples(*[st.integers(0, 3) for _ in variables])
@@ -53,7 +52,7 @@ def section_spaces(draw):
     ))
     polys = [Polynomial.from_dict(variables, {e: field(c) for e, c in s.items()})
              for s in sections]
-    return reduce_to_basis(polys), FlagSpec(variables), draw(st.integers(2, 4))
+    return reduce_to_basis(polys), draw(st.integers(2, 4))
 
 
 def assert_lifts_match_oracle(ring, space, gamma):
@@ -61,11 +60,11 @@ def assert_lifts_match_oracle(ring, space, gamma):
     assert lifts == oracle_lifts(space, gamma.generators)
 
 
-def check_against_oracles(space, flag, max_degree):
-    ring = Subduction(space, flag)
+def check_against_oracles(space, max_degree):
+    ring = Subduction(space)
     gamma = ring.semigroup(max_degree)
     assert_lifts_match_oracle(ring, space, gamma)
-    slices = product_loop_slices(space, flag, max_degree)
+    slices = product_loop_slices(space, max_degree)
     assert list(gamma.slices) == slices
     assert minimal_generators(gamma) == oracle_minimal_generators(slices)
     searched = GradedSemigroup(gamma.dim, gamma.max_degree, gamma.slices)
@@ -78,7 +77,7 @@ def check_against_oracles(space, flag, max_degree):
 @settings(max_examples=120, deadline=None)
 @given(section_spaces())
 @example((reduce_to_basis([parse_polynomial(s, ("x", "y")) for s in
-                           ("1", "x", "y + x*y^3", "x*y")]), FlagSpec(("x", "y")), 4))
+                           ("1", "x", "y + x*y^3", "x*y")]), 4))
 def test_subduction_matches_power_spaces_and_sumset_oracles(case):
     check_against_oracles(*case)
 
@@ -86,19 +85,19 @@ def test_subduction_matches_power_spaces_and_sumset_oracles(case):
 def test_counterexample_gains_a_generator_in_every_degree():
     space = reduce_to_basis([parse_polynomial(s, ("x", "y")) for s in
                              ("1", "x", "y + x*y^3", "x*y")])
-    gamma = check_against_oracles(space, FlagSpec(("x", "y")), 5)
+    gamma = check_against_oracles(space, 5)
     assert [m for m, _ in gamma.generators] == [1, 1, 1, 1, 2, 3, 4, 5]
 
 
 @settings(max_examples=40, deadline=None)
 @given(section_spaces(), st.integers(0, 3))
 def test_resumed_subduction_equals_a_fresh_one(case, first):
-    space, flag, max_degree = case
-    ring = Subduction(space, flag)
+    space, max_degree = case
+    ring = Subduction(space)
     early = ring.semigroup(min(first, max_degree))
-    assert early == build_gamma(space, flag, early.max_degree)
+    assert early == build_gamma(space, early.max_degree)
     gamma = ring.semigroup(max_degree + 2)  # past the first packing bound
-    fresh_ring = Subduction(space, flag)
+    fresh_ring = Subduction(space)
     fresh = fresh_ring.semigroup(max_degree + 2)
     assert gamma == fresh and gamma.generators == fresh.generators
     assert ring.semigroup(early.max_degree).generators == early.generators
@@ -119,7 +118,7 @@ def test_fixture_lifts_match_power_spaces(name, max_degree, field):
     if field != "Q":
         job = dataclasses.replace(job, field_spec={"Fp": 32003})
     space = job.section_space()
-    ring = Subduction(space, job.flag())
+    ring = Subduction(space)
     assert_lifts_match_oracle(ring, space, ring.semigroup(max_degree))
 
 
@@ -135,23 +134,21 @@ def test_stored_terms_cap_trips_before_the_candidate_cap():
     variables = ("x", "y")
     space = reduce_to_basis([parse_polynomial(s, variables) for s in
                              ("1", "x", "y + x*y^3*(1+y)^30", "x*y")])
-    flag = FlagSpec(variables)
     # degree 2 has 4 * 4 = 16 sumset candidates.  Its one S-pair is 1 * xy
     # (one term, stored: 35 basis terms + 1) less x times a 32-term section,
     # charged at 36 + 1 * 32 before it is multiplied out
     with pytest.raises(ResourceCapError, match="in subduction: 68 > 60"):
-        build_gamma(space, flag, 2, cap_monomials=60)
-    assert len(build_gamma(space, flag, 2).generators) == 5
+        build_gamma(space, 2, cap_monomials=60)
+    assert len(build_gamma(space, 2).generators) == 5
 
 
 def test_lift_charges_the_monomial_cap():
     variables = ("x", "y")
     space = reduce_to_basis([parse_polynomial(s, variables) for s in
                              ("1", "x", "y + x*y^3*(1+y)^3", "x*y")])
-    flag = FlagSpec(variables)
     # the semigroup to degree 4 stays within 170 stored terms; tail-reducing
     # the lift of (4, (2, 7)) does not
-    ring = Subduction(space, flag, cap_monomials=170)
+    ring = Subduction(space, cap_monomials=170)
     gamma = ring.semigroup(4)
     with pytest.raises(ResourceCapError, match="in subduction: 172 > 170"):
         for m, u in gamma.generators:
@@ -160,8 +157,7 @@ def test_lift_charges_the_monomial_cap():
 
 def test_subduction_rejects_a_basis_without_distinct_monic_pivots():
     variables = ("x", "y")
-    flag = FlagSpec(variables)
     for basis in (["2*x", "y"], ["y", "y + x"]):
         space = SectionSpace(variables, tuple(parse_polynomial(s, variables) for s in basis))
         with pytest.raises(ValidationError, match="distinct monic pivots"):
-            build_gamma(space, flag, 2)
+            build_gamma(space, 2)

@@ -109,22 +109,22 @@ def test_gamma_from_slices_rejects_non_closed_slices():
 @pytest.mark.parametrize("name", SECTION_FIXTURES)
 def test_section_fixtures_match_product_loop_and_oracles(name, field):
     job = section_job(name, field)
-    space, flag = job.section_space(), job.flag()
-    gamma = build_gamma(space, flag, job.max_degree)
-    assert list(gamma.slices) == product_loop_slices(space, flag, job.max_degree)
+    space = job.section_space()
+    gamma = build_gamma(space, job.max_degree)
+    assert list(gamma.slices) == product_loop_slices(space, job.max_degree)
     assert_matches_oracles(gamma)
 
 
 @pytest.mark.parametrize("max_degree, relation_degree", [(2, 4), (3, 2), (2, None)])
 def test_degenerate_reads_one_tower_like_two_builds(
-    counterexample_space, counterexample_flag, max_degree, relation_degree
+    counterexample_space, max_degree, relation_degree
 ):
     report = degenerate_section_space(
-        counterexample_space, counterexample_flag, max_degree, relation_degree
+        counterexample_space, max_degree, relation_degree
     )
-    presentation = build_presentation(counterexample_space, counterexample_flag, max_degree)
+    presentation = build_presentation(counterexample_space, max_degree)
     depth = relation_degree or 2 * max(presentation.grades)
-    gamma = build_gamma(counterexample_space, counterexample_flag, max(max_degree, depth))
+    gamma = build_gamma(counterexample_space, max(max_degree, depth))
     assert report == run_degeneration(presentation, gamma, depth)
 
 
