@@ -18,7 +18,7 @@ from .degeneration import (
 )
 from .fields import FpElement
 from .polytopes import RationalPolytope
-from .semigroups import GenerationReport, GradedSemigroup, NormalityRecord
+from .semigroups import GenerationReport, GradedSemigroup, NormalityRecord, hilbert_counts
 from .valuation import SaturationRecord
 
 
@@ -56,7 +56,7 @@ def semigroup_dict(gamma: GradedSemigroup) -> dict:
         "dim": gamma.dim,
         "max_degree": gamma.max_degree,
         "slices": [sorted(point_list(u) for u in s) for s in gamma.slices],
-        "hilbert": [len(s) for s in gamma.slices],
+        "hilbert": hilbert_counts(gamma),
     }
 
 

@@ -23,16 +23,20 @@ value v, is subducted (Sturmfels, *Groebner Bases and Convex Polytopes*,
 value while that value is in Gamma_m.  A nonzero remainder, made monic, is
 a new generator.  Its value is not a sum of lower values, so the
 generators this loop produces are exactly the minimal generators of Gamma.
-Values are packed into single ints (`_Packing`) so that the sumsets and
-fibre joins are int additions.  The same products, tail-reduced, give each
-generator its canonical lift, the element of V^m's reduced basis it leads.
+Values are packed into single ints (`_Packing`), so a sumset is int
+additions, and each sumset point keeps the bitmask of the generators that
+reach it.  Those masks are the one record of how a value decomposes:
+generators g and h meet in the fibre of v (some monomial of value v holds
+both) when h reaches v - val g, and a point is a minimal generator when no
+generator of lower degree reaches it.  The same products, tail-reduced,
+give each generator its canonical lift, the element of V^m's reduced basis
+it leads.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .echelon import subtract
 from .errors import InvariantError, ResourceCapError, ValidationError
@@ -46,38 +50,25 @@ GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 
 @dataclass(frozen=True)
 class GradedSemigroup:
-    """Degree-indexed value sets, complete up to the truncation degree.  A
-    builder that already knows the minimal generators passes them as
-    `minimal`; otherwise `generators` searches for them once."""
+    """Degree-indexed value sets, complete up to the truncation degree, and
+    their minimal generators sorted by (degree, value), which the builder
+    fills in."""
 
     dim: int
     max_degree: int
     slices: tuple[frozenset, ...]
-    minimal: InitVar[tuple | None] = None
+    generators: tuple[GradedPoint, ...]
 
-    def __post_init__(self, minimal):
+    def __post_init__(self):
         if self.max_degree < 0 or len(self.slices) != self.max_degree + 1:
             raise ValidationError("slice list must cover degrees 0..max_degree")
         if self.slices[0] != frozenset({(0,) * self.dim}):
             raise ValidationError("degree-0 slice must be exactly the origin")
-        if minimal is not None:
-            object.__setattr__(self, "generators", tuple(minimal))
 
     def slice(self, m: int) -> frozenset:
         if not 0 <= m <= self.max_degree:
             raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
         return self.slices[m]
-
-    @cached_property
-    def generators(self) -> tuple[GradedPoint, ...]:
-        """Minimal generators sorted by (degree, value), found once.  Slices are
-        closed under addition, so (m, u) is decomposable iff u - g lies in the
-        slice of degree m - deg g for some generator g of lower degree."""
-        gens: list[GradedPoint] = []
-        for m in range(1, self.max_degree + 1):
-            gens += [(m, u) for u in sorted(self.slices[m]) if not any(
-                tuple(a - b for a, b in zip(u, g)) in self.slices[m - k] for k, g in gens)]
-        return tuple(gens)
 
 
 class _Packing:
@@ -109,7 +100,13 @@ def _degree_step(slices, gens, m: int, cap_monomials: int) -> dict:
     """The sumset of degree m: each packed generator value added to every point
     of the slice of degree m - deg g.  Maps each point to the bitmask of the
     generators (by index) that reach it.  The sum_g |slice(m - deg g)|
-    candidates are capped before the degree is formed."""
+    candidates are capped before the degree is formed.
+
+    A finished slice's masks are complete: bit i is set at p iff p - val g_i
+    lies in the slice of degree m - deg g_i, for every generator g_i there
+    will ever be.  A generator of degree m added after this step reaches only
+    its own value (the degree-0 slice is the origin), and none of higher
+    degree reaches degree m.  Fibre components and minimality rest on this."""
     candidates = sum(len(slices[m - gm]) for gm, _ in gens if gm <= m)
     if candidates > cap_monomials:
         raise ResourceCapError(f"monomial cap exceeded closing generators in degree "
@@ -124,16 +121,16 @@ def _degree_step(slices, gens, m: int, cap_monomials: int) -> dict:
     return reached
 
 
-def _components(members: int, joins: list, v: int) -> list[int]:
+def _components(members: int, neighbours) -> list[int]:
     """Connected components, as bitmasks sorted by their least generator, of the
-    generators in `members`, where joins[i][v] is the bitmask of the generators
-    j > i joined to i at v."""
+    generators in `members`, where neighbours(i) is the bitmask of the
+    generators joined to i."""
     comps: list[int] = []
     rest = members
     while rest:
         low = rest & -rest
         rest ^= low
-        group = low | joins[low.bit_length() - 1].get(v, 0)
+        group = low | neighbours(low.bit_length() - 1)
         if group == members:
             return [members]
         keep = []
@@ -189,7 +186,9 @@ class Subduction:
         while len(self.frozen) <= max_degree:
             self.frozen.append(frozenset(map(self.packing.unpack, self.slices[len(self.frozen)])))
         minimal = sorted((m, self.packing.unpack(v)) for m, v in self.gens if m <= max_degree)
-        return GradedSemigroup(self.dim, max_degree, tuple(self.frozen[: max_degree + 1]), minimal)
+        return GradedSemigroup(
+            self.dim, max_degree, tuple(self.frozen[: max_degree + 1]), tuple(minimal)
+        )
 
     def _repack(self, packing: _Packing) -> None:
         old, self.packing = self.packing, packing
@@ -225,25 +224,16 @@ class Subduction:
         return self.products[key]
 
     def _degree(self, m: int) -> None:
-        gens = self.gens
-        reached = _degree_step(self.slices, gens, m, self.cap)
-        self.slices.append(reached)
-        # joins, forward: i and j meet in the fibre of every point of the
-        # slice of degree m - deg i - deg j, shifted by val i + val j
-        joins = [{} for _ in gens]
-        for i, (di, vi) in enumerate(gens):
-            for j in range(i + 1, len(gens)):
-                dj, vj = gens[j]
-                if di + dj <= m:
-                    table, bit, shift = joins[i], 1 << j, vi + vj
-                    for w in self.slices[m - di - dj]:
-                        p = w + shift
-                        table[p] = table.get(p, 0) | bit
+        gens, slices = self.gens, self.slices
+        reached = _degree_step(slices, gens, m, self.cap)
+        slices.append(reached)
         for v in sorted(reached):
             members = reached[v]
             if not members & (members - 1):
                 continue
-            comps = _components(members, joins, v)
+            # g_i and g_j meet in the fibre of v iff g_j reaches v - val g_i,
+            # which the complete mask of that point of a finished slice records
+            comps = _components(members, lambda i: slices[m - gens[i][0]][v - gens[i][1]])
             for comp in comps[1:]:
                 j = (comp & -comp).bit_length() - 1
                 pair = dict(self._product(m, v).terms)
@@ -306,11 +296,12 @@ def build_gamma(
 
 def gamma_from_slices(slices, dim: int) -> GradedSemigroup:
     """A semigroup from hand-built slices, which must be closed under addition.
-    Every point is a sum of minimal generators, so they are closed iff the
-    generators regenerate them."""
-    packed = tuple(frozenset(tuple(u) for u in s) for s in slices)
-    gamma = GradedSemigroup(dim, len(packed) - 1, packed)
-    if gamma_from_generators(gamma.generators, gamma.max_degree, dim).slices != packed:
+    They are exactly when every point, taken as a generator, gives them back;
+    the comparison builds them as a semigroup, which checks their shape."""
+    given = tuple(frozenset(tuple(u) for u in s) for s in slices)
+    points = [(m, u) for m in range(1, len(given)) for u in given[m]]
+    gamma = gamma_from_generators(points, len(given) - 1, dim)
+    if GradedSemigroup(dim, gamma.max_degree, given, gamma.generators) != gamma:
         raise ValidationError("slices are not closed under addition")
     return gamma
 
@@ -319,7 +310,8 @@ def gamma_from_generators(
     generators, max_degree: int, dim: int | None = None, cap_monomials=DEFAULT_MONOMIAL_CAP
 ) -> GradedSemigroup:
     """All natural-number combinations of graded generators up to a degree, one
-    capped `_degree_step` per degree."""
+    capped `_degree_step` per degree.  A point is a minimal generator iff its
+    mask holds no generator of lower degree."""
     gens = [(int(m), tuple(int(c) for c in u)) for m, u in generators]
     if any(m < 1 for m, _ in gens):
         raise ValidationError("generator degrees must be at least 1")
@@ -332,11 +324,16 @@ def gamma_from_generators(
     largest = max((abs(c) for _, u in gens for c in u), default=0)
     packing = _Packing(dim, max(1, max_degree * largest))
     packed = [(m, packing.pack(u)) for m, u in gens]
-    slices = [{0: 0}]
+    slices, minimal = [{0: 0}], []
     for m in range(1, max_degree + 1):
         slices.append(_degree_step(slices, packed, m, cap_monomials))
+        lower = sum(1 << i for i, (gm, _) in enumerate(packed) if gm < m)
+        minimal += [(m, p) for p, mask in slices[m].items() if not mask & lower]
     return GradedSemigroup(
-        dim, max_degree, tuple(frozenset(map(packing.unpack, s)) for s in slices)
+        dim,
+        max_degree,
+        tuple(frozenset(map(packing.unpack, s)) for s in slices),
+        tuple((m, packing.unpack(p)) for m, p in sorted(minimal)),
     )
 
 

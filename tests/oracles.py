@@ -88,6 +88,39 @@ def oracle_minimal_generators(slices):
     return sorted(gens)
 
 
+def oracle_spair_counts(gamma):
+    """{degree: S-pairs} that subduction needs for a section space's semigroup,
+    from the unpacked slices: in the fibre of v in degree m the generators g
+    of lower degree with v - g in the slice of degree m - deg g meet pairwise
+    when v - g - h is in the slice of degree m - deg g - deg h, and a fibre
+    with k components needs k - 1 S-pairs.  Degrees with none are left out."""
+
+    def minus(v, *points):
+        return tuple(c - sum(p[i] for p in points) for i, c in enumerate(v))
+
+    counts = {}
+    for m in range(2, gamma.max_degree + 1):
+        total = 0
+        for v in gamma.slices[m]:
+            members = [(d, u) for d, u in gamma.generators
+                       if d < m and minus(v, u) in gamma.slices[m - d]]
+            unseen, components = set(range(len(members))), 0
+            while unseen:
+                components += 1
+                stack = [unseen.pop()]
+                while stack:
+                    di, ui = members[stack.pop()]
+                    for j in list(unseen):
+                        dj, uj = members[j]
+                        if di + dj <= m and minus(v, ui, uj) in gamma.slices[m - di - dj]:
+                            unseen.remove(j)
+                            stack.append(j)
+            total += max(components - 1, 0)
+        if total:
+            counts[m] = total
+    return counts
+
+
 def oracle_degree_one_generation(slices):
     """(status, witness) from iterated sumsets of the degree-one slice; raises
     ValueError when a slice misses a sum."""

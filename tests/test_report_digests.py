@@ -4,8 +4,9 @@ okv command lines, with JSON reports unless a line asks for text.
 Every command runs on every fixture, and the table adds the lines that load
 the degeneration, restriction, compatibility and saturation paths at other
 degrees, every kind of cap exit, jobs over F_32003 (`Fp:<fixture>` is a
-job file holding that fixture over F_32003) and a job whose description
-needs JSON escapes (`Esc:<fixture>`).  A successful line records the
+job file holding that fixture over F_32003), a job whose description
+needs JSON escapes (`Esc:<fixture>`) and a job whose generators repeat and
+decompose (`Gens:<fixture>`).  A successful line records the
 stdout digest; a failing line prints no report and records its stderr
 message instead.  The `--format text` rows pin the plain-text renderer the
 same way.  A change that keeps reports byte-identical keeps every row; a
@@ -133,6 +134,10 @@ TABLE = [
     ('check normality --fixture hirzebruch-trapezoid --format text', 0, 'f01d6c89efdace44d719ee9dfe019fc61e1da4671f19ae39046f6f4b9ab32c1e'),
     ('nu --fixture counterexample-p1xp1 --format text', 0, 'c2afb856835b2b66312e20864f53027980a8cc85775b7cb7ab6d2df09601372d'),
     ('semigroup --fixture counterexample-p1xp1 --format text', 0, 'e99eb22851546d5215b45c053ec9d9c1ea1ed4a87808e110ad196d4771751dd5'),
+    ('semigroup --input Gens:elliptic-good', 0, '078509a39afe76fc2afc3e53db56641b963d8fe0955ca0cf276dafbfb8569a69'),
+    ('body --input Gens:elliptic-good', 0, '37468a018ea918aa8f41547465d10a1c0d53f8f99617468b8bf400c898d8e8a7'),
+    ('check normality --input Gens:elliptic-good', 0, '8dfe5bd4a667aec1f4ae135adff1856f7a667dff2ac940b6ab783000c9cfa154'),
+    ('degenerate --input Gens:elliptic-good', 0, '664b1461f190b4e529a2a31f6c4791346f5bc6ba974736937bdffc87073c0b4c'),
 ]
 
 
@@ -141,6 +146,8 @@ TABLE = [
 JOB_EDITS = {
     "Fp": {"field": {"Fp": 32003}},
     "Esc": {"description": 'a "quoted" back\\slash,\na newline and \u00e9'},
+    # unsorted, with a repeated generator and three decomposable ones
+    "Gens": {"semigroup_generators": [[1, 0], [1, 1], [1, 1], [2, 2], [2, 1], [3, 4], [1, 3]]},
 }
 
 

@@ -2,8 +2,8 @@
 
 The semigroup of a section space comes from subduction with its minimal
 generators, and the canonical lifts of a presentation come from the same
-subduction; abstract and hand-built semigroups find their generators by a
-membership test run once per semigroup.  Both are compared with the paths
+subduction; abstract and hand-built semigroups read their minimal
+generators off the sumset masks.  Both are compared with the paths
 they replaced: the product_space loop for the slices, and the sumset
 generators and iterated-sumset generation report of tests/oracles.py, over
 random generator sets, random hand-built slices and every section fixture
@@ -12,8 +12,8 @@ over Q and F_32003.  No command makes a product_space call.
 
 import dataclasses
 import json
+import re
 import sys
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,6 @@ from okv.jobs import fixture_names, load_fixture
 from okv.polynomials import parse_polynomial
 from okv.polytopes import convex_hull, lattice_points
 from okv.semigroups import (
-    GradedSemigroup,
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
@@ -103,6 +102,16 @@ def test_gamma_from_slices_rejects_non_closed_slices():
         gamma_from_slices([{(0,)}, {(0,), (1,)}, {(0,), (1,)}], 1)
     with pytest.raises(ValidationError, match="not closed under addition"):
         gamma_from_slices([{(0, 0)}, {(1, 0)}, {(2, 0)}, {(3, 1)}], 2)
+
+
+@pytest.mark.parametrize("slices, dim, message", [
+    ([{(1,)}, {(2,)}], 1, "degree-0 slice must be exactly the origin"),
+    ([], 1, "slice list must cover degrees 0..max_degree"),
+    ([{(0,)}, {(1,), (1, 2)}], 1, "generators of mixed dimension"),
+])
+def test_gamma_from_slices_names_malformed_slices(slices, dim, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        gamma_from_slices(slices, dim)
 
 
 @pytest.mark.parametrize("field", ["Q", "F32003"])
@@ -182,34 +191,6 @@ def test_lifts_stay_inside_the_monomial_cap_of_the_semigroup(capsys):
     assert capped["job"].pop("cap_monomials") == 300
     uncapped["job"].pop("cap_monomials")
     assert capped == uncapped
-
-
-def count_generator_searches(monkeypatch):
-    """Record the truncation degree of every membership search for generators."""
-    runs = []
-    find = GradedSemigroup.__dict__["generators"].func
-
-    def counting(semigroup):
-        runs.append(semigroup.max_degree)
-        return find(semigroup)
-
-    prop = cached_property(counting)
-    prop.__set_name__(GradedSemigroup, "generators")
-    monkeypatch.setattr(GradedSemigroup, "generators", prop)
-    return runs
-
-
-def test_semigroup_command_finds_generators_once(monkeypatch):
-    # subduction hands its generators to the semigroup: no search runs
-    runs = count_generator_searches(monkeypatch)
-    cli.run("semigroup", load_fixture("counterexample-p1xp1", 4))
-    assert runs == []
-
-
-def test_abstract_semigroup_command_searches_generators_once(monkeypatch):
-    runs = count_generator_searches(monkeypatch)
-    cli.run("semigroup", load_fixture("elliptic-bad", 4))
-    assert runs == [4]
 
 
 def test_generator_closure_checks_the_cap_before_a_degree():
