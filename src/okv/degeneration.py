@@ -71,7 +71,7 @@ def modified_flat_key(flat) -> tuple:
     return (flat[0],) + tuple(-c for c in flat[1:])
 
 
-def choose_weight_vector(points, dim: int | None = None) -> WeightVector:
+def choose_weight_vector(points, dim: int) -> WeightVector:
     """Smallest canonical weights preserving the modified order on the set.
 
     Zero and the standard basis of the graded orthant are always included.
@@ -80,10 +80,6 @@ def choose_weight_vector(points, dim: int | None = None) -> WeightVector:
     times the sum of the later weights.
     """
     pts = {tuple(int(c) for c in p) for p in points}
-    if dim is None:
-        if not pts:
-            raise ValidationError("cannot infer dimension from an empty point set")
-        dim = len(next(iter(pts))) - 1
     if dim < 1:
         raise ValidationError("weight vectors need at least one value coordinate")
     if any(len(p) != dim + 1 for p in pts):
@@ -199,6 +195,10 @@ def presentation_from_generators(generators) -> Presentation:
     d = len(gens[0][1])
     if any(len(u) != d for _, u in gens):
         raise ValidationError("generators of mixed dimension")
+    negative = [(m, list(u)) for m, u in gens if min(u, default=0) < 0]
+    if negative:
+        raise ValidationError(
+            f"degenerations need non-negative generator values, got {negative[0]}")
     variables = ("s",) + tuple(f"t{i}" for i in range(1, d + 1))
     out = []
     for i, (m, u) in enumerate(gens, start=1):
@@ -403,13 +403,10 @@ def rees_relations(
     for rel in relation_set.relations:
         bar = initial_form(rel.poly, presentation, pi)
         top = sum(a * w for a, w in zip(bar.terms[0][0], weights))
-        coeffs = {}
-        for exp, c in rel.poly.terms:
-            deficit = top - sum(a * w for a, w in zip(exp, weights))
-            if deficit < 0:
-                raise InvariantError("weight vector fails order preservation")
-            coeffs[exp + (deficit,)] = c
-        rees = Polynomial.from_dict(rees_vars, coeffs)
+        # top is the largest term weight (initial_form): no deficit is negative
+        deficits = {exp + (top - sum(a * w for a, w in zip(exp, weights)),): c
+                    for exp, c in rel.poly.terms}
+        rees = Polynomial.from_dict(rees_vars, deficits)
         enriched.append(replace(rel, initial=bar, weight=top, rees=rees))
     return replace(relation_set, relations=tuple(enriched))
 
@@ -667,9 +664,9 @@ def flag_restriction_check(
     max_degree: int,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> RestrictionRecord:
-    """Body of the restricted system against the vanishing-coordinate face."""
-    dim = len(space.variables)
-    if not 0 <= r <= dim:
+    """Body of the restricted system against the vanishing-coordinate face.  At
+    r = d both are the point; the restricted system there is in no variables."""
+    if not 0 <= r <= len(space.variables):
         raise ValidationError(f"restriction index {r} out of range")
     ambient_body = okounkov_body_estimate(build_gamma(space, max_degree, cap_monomials))
     if r == 0:
@@ -679,12 +676,7 @@ def flag_restriction_check(
         raise ValidationError(
             "every section vanishes on the flag member; restriction undefined"
         )
-    if r == dim:
-        restricted_body = RationalPolytope(0, ((),), (), 0)
-    else:
-        restricted_body = okounkov_body_estimate(
-            build_gamma(restricted, max_degree, cap_monomials)
-        )
+    restricted_body = okounkov_body_estimate(build_gamma(restricted, max_degree, cap_monomials))
     face = face_restriction(ambient_body, r)
     return RestrictionRecord(
         face, restricted_body, polytopes_equal(face, restricted_body), max_degree

@@ -35,14 +35,10 @@ def rank(rows: list[list], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def nullspace(rows: list[list], ncols: int, one, max_cells: int | None = None) -> list[list]:
-    """Canonical basis of {x : A x = 0}, rows of the RREF of the kernel.
-
-    `max_cells` bounds the materialized kernel basis (dimension times width);
-    exceeding it raises ResourceCapError before the expensive step.
-    """
+def nullspace(rows: list[list], ncols: int, one) -> list[list]:
+    """Canonical basis of {x : A x = 0}, rows of the RREF of the kernel."""
     sparse = [_sparse(r) for r in rows]
-    return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one, max_cells)]
+    return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one)]
 
 
 def solve_unique(matrix: list[list], rhs: list):

@@ -174,23 +174,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def drop_variable(self) -> "Polynomial":
-        """Set the first variable to zero and remove it from the variable list."""
-        rest = self.variables[1:]
-        acc = {exp[1:]: c for exp, c in self.terms if exp[0] == 0}
-        return Polynomial.from_dict(rest, acc)
-
-    def divide_first_variable(self, order: int) -> "Polynomial":
-        """Divide by (first variable)^order; every term must be divisible."""
-        if order == 0:
-            return self
-        shifted = {}
-        for exp, c in self.terms:
-            if exp[0] < order:
-                raise ValidationError("polynomial not divisible by requested power")
-            shifted[(exp[0] - order,) + exp[1:]] = c
-        return Polynomial.from_dict(self.variables, shifted)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -161,8 +161,8 @@ class Subduction:
             raise ValidationError("cannot build a value semigroup from the zero space")
         self.variables, self.dim, self.cap = space.variables, len(space.variables), cap_monomials
         # every value of degree m is an exponent of V^m, so its coordinates
-        # are at most m times the largest exponent coordinate in V
-        self.extent = max(1, max(c for p in space.basis for e, _ in p.terms for c in e))
+        # are at most m times the largest exponent coordinate in V, if any
+        self.extent = max([1, *(c for p in space.basis for e, _ in p.terms for c in e)])
         self.packing = _Packing(self.dim, self.extent)
         self.one = polynomial_field(space.basis[0]).one
         if any(p.terms[0][1] != self.one for p in space.basis) or len(

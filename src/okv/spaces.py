@@ -20,11 +20,10 @@ DEFAULT_MONOMIAL_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """A reduced echelon basis of polynomial sections of one grade."""
+    """A reduced echelon basis of polynomial sections."""
 
     variables: tuple[str, ...]
     basis: tuple[Polynomial, ...]
-    grade: int = 1
 
     @property
     def dimension(self) -> int:
@@ -42,7 +41,6 @@ def reduce_to_basis(
     spanning: Sequence[Polynomial],
     *,
     variables: Iterable[str] | None = None,
-    grade: int = 1,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> SectionSpace:
     """Row-reduce a (possibly dependent) spanning list to a SectionSpace.
@@ -71,7 +69,7 @@ def reduce_to_basis(
                 f"monomial cap exceeded while reducing: {form.terms} > {cap_monomials}"
             )
     basis = tuple(Polynomial.from_dict(varlist, row) for row in form.sorted_rows())
-    return SectionSpace(varlist, basis, grade)
+    return SectionSpace(varlist, basis)
 
 
 def product_space(
@@ -79,7 +77,7 @@ def product_space(
     b: SectionSpace,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> SectionSpace:
-    """Reduced basis of the span of all pairwise products; grades add."""
+    """Reduced basis of the span of all pairwise products."""
     if a.variables != b.variables:
         raise ValidationError("variable mismatch between section spaces")
     products = [p * q for p in a.basis for q in b.basis]
@@ -88,12 +86,7 @@ def product_space(
         raise ResourceCapError(
             f"monomial cap exceeded in product space: {total} > {cap_monomials}"
         )
-    return reduce_to_basis(
-        products,
-        variables=a.variables,
-        grade=a.grade + b.grade,
-        cap_monomials=cap_monomials,
-    )
+    return reduce_to_basis(products, variables=a.variables, cap_monomials=cap_monomials)
 
 
 def _echelon(space: SectionSpace) -> Echelon:

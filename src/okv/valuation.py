@@ -5,7 +5,9 @@ space over (x_1, ..., x_d) is valued along the flag with members
 Y_r = {x_1 = ... = x_r = 0}, so reordering the variables changes the flag.
 On a nonzero polynomial the valuation is the lex-min exponent vector (first
 coordinate compared first); on a reduced section space its image is exactly
-the set of leading exponents.
+the set of leading exponents.  The system restricted to Y_r with prescribed
+vanishing orders is read off the terms of the reduced basis, one x_1-layer
+per flag member, and its image is the fibre of that set over the orders.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ def nu_prefix_image(space: SectionSpace, r: int) -> set:
 def restricted_system(space: SectionSpace, orders) -> SectionSpace:
     """Sections of prescribed vanishing orders along the leading flag members.
 
-    For each prescribed order a_i in turn: keep the sections of order at
-    least a_i in the current first variable, divide by its a_i-th power,
-    and restrict to the flag member by setting the variable to zero.  The
-    result lives in the remaining variables; an empty space is a value.
+    For each order a in turn: sections of order at least a in the first
+    variable x_1, divided by x_1^a and restricted to x_1 = 0.  On the reduced
+    basis that is the x_1^a layer of each element p (its terms with e_1 = a,
+    x_1 dropped), as every term of p has e_1 >= nu(p)_1; it is zero unless
+    nu(p)_1 = a.  So the image is the fibre {u[r:] : u in nu_image(space),
+    u[:r] == orders}, in the remaining variables (none when r = d).
     """
     orders = tuple(orders)
     if len(orders) > len(space.variables):
@@ -52,13 +56,13 @@ def restricted_system(space: SectionSpace, orders) -> SectionSpace:
         raise ValidationError("prescribed vanishing orders must be non-negative")
     current = space
     for a in orders:
-        kept = [p for p in current.basis if p.leading_exponent()[0] >= a]
-        images = [p.divide_first_variable(a).drop_variable() for p in kept]
-        current = reduce_to_basis(
-            [q for q in images if not q.is_zero],
-            variables=current.variables[1:],
-            grade=current.grade,
-        )
+        rest = current.variables[1:]
+        layers = [
+            Polynomial.from_dict(rest, {e[1:]: c for e, c in p.terms if e[0] == a})
+            for p in current.basis
+            if p.leading_exponent()[0] == a
+        ]
+        current = reduce_to_basis(layers, variables=rest)
     return current
 
 

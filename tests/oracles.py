@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from okv.polynomials import Polynomial
-from okv.spaces import product_space
+from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu_image
 
 
@@ -158,6 +158,22 @@ def oracle_lifts(space, generators):
         powers.append(product_space(powers[-1], space))
     by_lead = [{p.leading_exponent(): p for p in power.basis} for power in powers]
     return [by_lead[m - 1][tuple(u)] for m, u in generators]
+
+
+def oracle_restricted_system(space, orders):
+    """The restricted system as okv built it before reading layers off the
+    terms: keep the elements of order at least a in the first variable,
+    divide each by that variable to the a, set it to zero and drop it."""
+    current = space
+    for a in orders:
+        rest = current.variables[1:]
+        kept = [p for p in current.basis if p.leading_exponent()[0] >= a]
+        divided = [{(e[0] - a,) + e[1:]: c for e, c in p.terms} for p in kept]
+        assert all(e[0] >= 0 for terms in divided for e in terms)
+        dropped = [Polynomial.from_dict(rest, {e[1:]: c for e, c in terms.items() if e[0] == 0})
+                   for terms in divided]
+        current = reduce_to_basis([q for q in dropped if q], variables=rest)
+    return current
 
 
 def oracle_sumset_slices(generators, max_degree):

@@ -150,12 +150,3 @@ def test_substitute_with_a_cap_stops_at_the_first_large_product():
         p.substitute(images, variables, cap_monomials=10)
     with pytest.raises(ResourceCapError, match="expanding a power"):
         P("x^300", variables).substitute(images, variables, cap_monomials=10)
-
-
-def test_divide_and_drop_first_variable():
-    p = P("x^2*y^3 + x^3")
-    q = p.divide_first_variable(2)
-    assert q == P("y^3 + x")
-    assert q.drop_variable() == parse_polynomial("y^3", ("y",))
-    with pytest.raises(ValidationError):
-        P("x + y").divide_first_variable(1)

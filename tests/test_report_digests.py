@@ -5,8 +5,9 @@ Every command runs on every fixture, and the table adds the lines that load
 the degeneration, restriction, compatibility and saturation paths at other
 degrees, every kind of cap exit, jobs over F_32003 (`Fp:<fixture>` is a
 job file holding that fixture over F_32003), a job whose description
-needs JSON escapes (`Esc:<fixture>`) and a job whose generators repeat and
-decompose (`Gens:<fixture>`).  A successful line records the
+needs JSON escapes (`Esc:<fixture>`), a job whose generators repeat and
+decompose (`Gens:<fixture>`) and one with a negative value coordinate
+(`Neg:<fixture>`).  A successful line records the
 stdout digest; a failing line prints no report and records its stderr
 message instead.  The `--format text` rows pin the plain-text renderer the
 same way.  A change that keeps reports byte-identical keeps every row; a
@@ -138,6 +139,10 @@ TABLE = [
     ('body --input Gens:elliptic-good', 0, '37468a018ea918aa8f41547465d10a1c0d53f8f99617468b8bf400c898d8e8a7'),
     ('check normality --input Gens:elliptic-good', 0, '8dfe5bd4a667aec1f4ae135adff1856f7a667dff2ac940b6ab783000c9cfa154'),
     ('degenerate --input Gens:elliptic-good', 0, '664b1461f190b4e529a2a31f6c4791346f5bc6ba974736937bdffc87073c0b4c'),
+    ('semigroup --input Neg:elliptic-good', 0, 'fcf3796015c45de6b9604981abd39df57b5a296c0cc1b252c17a91acc26bf84a'),
+    ('body --input Neg:elliptic-good', 0, '2994dd35141f3d6b2e5e5e7bc17258d36c803ca5842a712123b00fa8b741794d'),
+    ('check normality --input Neg:elliptic-good', 0, '1378ce286abc2198c2397c843e3d6f30d40ea93d2728a799eab4ef3ef45ea773'),
+    ('degenerate --input Neg:elliptic-good', 1, 'error: validation: degenerations need non-negative generator values, got (1, [-1])'),
 ]
 
 
@@ -148,6 +153,8 @@ JOB_EDITS = {
     "Esc": {"description": 'a "quoted" back\\slash,\na newline and \u00e9'},
     # unsorted, with a repeated generator and three decomposable ones
     "Gens": {"semigroup_generators": [[1, 0], [1, 1], [1, 1], [2, 2], [2, 1], [3, 4], [1, 3]]},
+    # a negative value coordinate: fine for the semigroup, refused by degenerate
+    "Neg": {"semigroup_generators": [[1, 0], [1, -1], [1, 1]], "max_degree": 3},
 }
 
 

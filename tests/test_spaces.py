@@ -94,16 +94,14 @@ def test_empty_input_needs_variables():
 def test_product_space_counterexample_dimension(counterexample_space):
     square = product_space(counterexample_space, counterexample_space)
     assert square.dimension == 10
-    assert square.grade == 2
     products = [p * q for p in counterexample_space.basis for q in counterexample_space.basis]
     assert brute_rank(products) == 10
 
 
 def test_product_with_constants_is_identity(counterexample_space):
-    ones = reduce_to_basis([P("1")], grade=0)
+    ones = reduce_to_basis([P("1")])
     prod = product_space(counterexample_space, ones)
     assert prod.basis == counterexample_space.basis
-    assert prod.grade == counterexample_space.grade
 
 
 def test_product_of_monomial_spaces():

@@ -20,12 +20,14 @@ from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ, PrimeField
 from okv.jobs import fixture_names, load_fixture
 from okv.polynomials import Polynomial, parse_polynomial
+from okv.polytopes import RationalPolytope
 from okv.semigroups import (
     Subduction,
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
     minimal_generators,
+    okounkov_body_estimate,
 )
 from okv.spaces import SectionSpace, reduce_to_basis
 
@@ -198,3 +200,12 @@ def test_subduction_rejects_a_basis_without_distinct_monic_pivots():
         space = SectionSpace(variables, tuple(parse_polynomial(s, variables) for s in basis))
         with pytest.raises(ValidationError, match="distinct monic pivots"):
             build_gamma(space, 2)
+
+
+def test_a_space_in_no_variables_gives_the_point_semigroup():
+    # the system restricted to the last flag member lives in no variables
+    space = reduce_to_basis([Polynomial.constant((), QQ.one)], variables=())
+    gamma = build_gamma(space, 3)
+    assert gamma.slices == (frozenset({()}),) * 4
+    assert gamma.generators == ((1, ()),)
+    assert okounkov_body_estimate(gamma) == RationalPolytope(0, ((),), (), 0)

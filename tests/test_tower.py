@@ -143,7 +143,7 @@ def count_product_spaces(monkeypatch):
     original = spaces.product_space
 
     def counting(*args, **kwargs):
-        calls.append(args[0].grade + args[1].grade)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

@@ -1,6 +1,8 @@
 """Flag valuations, valuation images, restricted systems, saturation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okv.errors import ValidationError
 from okv.polynomials import parse_polynomial
@@ -13,6 +15,9 @@ from okv.valuation import (
     saturation_check,
     saturation_from_values,
 )
+
+from oracles import oracle_restricted_system
+from test_subduction import section_spaces
 
 
 def P3(text):
@@ -135,6 +140,27 @@ def test_restricted_system_zero_orders_restrict(bott_samelson_space):
     restricted = restricted_system(bott_samelson_space, (0,))
     image = {str(p) for p in restricted.basis}
     assert image == {"1", "y", "z", "y*z", "y^2"}
+
+
+@st.composite
+def restrictions(draw):
+    """(space, orders): a random section space over Q or F_32003 and at most
+    one prescribed order in 0..3 per flag coordinate."""
+    space, _ = draw(section_spaces())
+    orders = draw(st.lists(st.integers(0, 3), max_size=len(space.variables)))
+    return space, tuple(orders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrictions())
+def test_restricted_image_is_the_fibre_over_the_orders(case):
+    space, orders = case
+    r = len(orders)
+    restricted = restricted_system(space, orders)
+    assert nu_image(restricted) == {u[r:] for u in nu_image(space) if u[:r] == orders}
+    oracle = oracle_restricted_system(space, orders)
+    assert restricted.variables == oracle.variables == space.variables[r:]
+    assert restricted.basis == oracle.basis
 
 
 def test_saturation_from_values():
