@@ -46,7 +46,6 @@ from .degeneration import (
     choose_weight_vector,
     degenerate_section_space,
     degenerate_semigroup,
-    fiber_check,
     flag_restriction_check,
     flatness_report,
     initial_form,

@@ -5,9 +5,11 @@ its subduction (`semigroups.Subduction`) and lift each (m, u) to the
 reduced-basis element of V^m with leading exponent u by the same
 subduction, with no power space built; extend the semigroup to the relation
 degree by resuming the subduction; compute the kernel of the induced
-polynomial presentation degree by degree with the sparse exact echelon
-engine (`okv.echelon`), whose columns are read straight off the evaluated
-label monomials, and read the fresh relations off the kernel basis pivots;
+polynomial presentation degree by degree and read the fresh relations off
+the kernel basis pivots that the lower relations' multiples miss.  Binomial
+relations are read off union-find components of the monomials, with no
+polynomial evaluated when the lifts are monomials; otherwise the sparse
+exact echelon engine (`okv.echelon`) eliminates the evaluated columns;
 collapse the modified order on the finitely many degrees that occur to a
 single integer weighting; homogenize each relation into a one-parameter
 family interpolating between the relation and its initial form; certify
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
+from operator import add
 
 from .errors import InvariantError, ResourceCapError, ValidationError
 from . import echelon
@@ -52,10 +55,6 @@ class WeightVector:
 
     alphas: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.alphas) - 1
-
     def weight_flat(self, flat) -> int:
         if len(flat) != len(self.alphas):
             raise ValidationError("point dimension does not match the weight vector")
@@ -65,10 +64,6 @@ class WeightVector:
 
     def weight(self, point: GradedPoint) -> int:
         return self.weight_flat((point[0], *point[1]))
-
-
-def modified_flat_key(flat) -> tuple:
-    return (flat[0],) + tuple(-c for c in flat[1:])
 
 
 def choose_weight_vector(points, dim: int) -> WeightVector:
@@ -93,17 +88,6 @@ def choose_weight_vector(points, dim: int) -> WeightVector:
     for k in range(dim - 1, -1, -1):
         alphas[k] = gap * sum(alphas[k + 1 :]) + 1
     return WeightVector(tuple(alphas))
-
-
-def preserves_modified_order(pi: WeightVector, points) -> bool:
-    """Brute-force pairwise check of strict order preservation."""
-    pts = sorted({tuple(p) for p in points}, key=modified_flat_key)
-    weights = [pi.weight_flat(p) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] != pts[j] and not weights[i] < weights[j]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +127,12 @@ class Presentation:
     def degrees(self) -> tuple[GradedPoint, ...]:
         return tuple(g.degree for g in self.generators)
 
-    def degree_monomials(self, degree: int) -> tuple[list, dict]:
-        """`_degree_monomials`, enumerated once per degree and shared by every
-        kernel and flatness pass over this presentation."""
+    def degree_monomials(self, degree: int) -> tuple[list, dict, list]:
+        """`_degree_monomials`, enumerated and valued once per degree and shared
+        by every kernel and flatness pass over this presentation."""
         if degree not in self._monomials:
             self._monomials[degree] = _degree_monomials(self, degree)
         return self._monomials[degree]
-
-    def generator_by_degree(self, degree: GradedPoint) -> PresentationGenerator:
-        for g in self.generators:
-            if g.degree == degree:
-                return g
-        raise ValidationError(f"no generator of degree {degree}")
 
 
 def _present(space, max_degree, cap_monomials):
@@ -236,36 +214,42 @@ def _label_monomials(grades: tuple[int, ...], total: int) -> list[tuple]:
     out: list[tuple] = []
 
     def rec(i: int, remaining: int, prefix: tuple):
-        if i == len(grades):
-            if remaining == 0:
-                out.append(prefix)
+        if i == len(grades) - 1:
+            if remaining % grades[-1] == 0:
+                out.append(prefix + (remaining // grades[-1],))
             return
         step = grades[i]
-        top = remaining // step
-        for a in range(top + 1):
+        for a in range(remaining // step + 1):
             rec(i + 1, remaining - a * step, prefix + (a,))
 
     rec(0, total, ())
     return out
 
 
-def _monomial_value(presentation: Presentation, a: tuple) -> tuple:
-    d = len(presentation.generators[0].degree[1])
-    total = [0] * d
-    for count, gen in zip(a, presentation.generators):
-        if count:
-            for i, c in enumerate(gen.degree[1]):
-                total[i] += count * c
-    return tuple(total)
-
-
-def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, dict]:
-    """Label monomials of a degree, ordered by (value, exponent), and their index."""
-    monomials = sorted(
-        _label_monomials(presentation.grades, degree),
-        key=lambda a: (_monomial_value(presentation, a), a),
+def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, dict, list]:
+    """Label monomials of a degree, ordered by (value, exponent), their index,
+    and their values, each computed once."""
+    gens = [u for _, u in presentation.degrees]
+    coords = range(len(gens[0]))
+    pairs = sorted(
+        (tuple(sum(n * u[k] for n, u in zip(a, gens) if n) for k in coords), a)
+        for a in _label_monomials(presentation.grades, degree)
     )
-    return monomials, {a: j for j, a in enumerate(monomials)}
+    monomials = [a for _, a in pairs]
+    return monomials, {a: j for j, a in enumerate(monomials)}, [v for v, _ in pairs]
+
+
+def _monomial_lifts(presentation: Presentation) -> bool:
+    """Whether every lift is x^u or s^m t^u with coefficient one, as in the
+    monomial model: then a label monomial evaluates to the monomial of its
+    value, and the fibres of a degree are its runs of equal value."""
+    one = presentation.field.one
+    return all(
+        len(g.lift.terms) == 1
+        and g.lift.terms[0][1] == one
+        and g.lift.terms[0][0] in (g.degree[1], (g.degree[0], *g.degree[1]))
+        for g in presentation.generators
+    )
 
 
 class _Evaluator:
@@ -298,15 +282,47 @@ def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple
     ]
 
 
+def _shifted_index(exp: tuple, b: tuple, mon_index: dict) -> int:
+    j = mon_index.get(tuple(map(add, exp, b)))
+    if j is None:
+        raise InvariantError("relation multiple leaves the expected degree")
+    return j
+
+
 def _shifted_row(poly: Polynomial, b: tuple, mon_index: dict) -> dict:
     """The sparse row, over monomial indices, of poly times the monomial b."""
-    row = {}
-    for exp, c in poly.terms:
-        j = mon_index.get(tuple(x + y for x, y in zip(exp, b)))
-        if j is None:
-            raise InvariantError("relation multiple leaves the expected degree")
-        row[j] = c
-    return row
+    return {_shifted_index(exp, b, mon_index): c for exp, c in poly.terms}
+
+
+def _binomial_ends(terms: dict, one) -> tuple | None:
+    """(a, c) when the terms {exponent: coefficient} are ±(x^a - x^c), else None."""
+    if len(terms) == 2:
+        (a, x), (c, y) = terms.items()
+        if not x + y and x in (one, -one):
+            return a, c
+    return None
+
+
+def _component_roots(mon_index: dict, ends: list, multiples) -> list[int] | None:
+    """Union-find over a degree's monomials: every multiple (i, b) of the
+    binomial x^a - x^c, (a, c) = ends[i], joins a + b with c + b.  Returns the
+    root of each monomial, the greatest index of its component; None unless
+    every multiple is of a binomial."""
+    if not all(ends[i] for i, _ in multiples):
+        return None
+    parent = list(range(len(mon_index)))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for i, b in multiples:
+        a, c = ends[i]
+        x, y = find(_shifted_index(a, b, mon_index)), find(_shifted_index(c, b, mon_index))
+        if x != y:
+            parent[min(x, y)] = max(x, y)
+    return [find(j) for j in range(len(parent))]
 
 
 def kernel_ideal_truncated(
@@ -316,56 +332,77 @@ def kernel_ideal_truncated(
 ) -> RelationSet:
     """Minimal generators of the kernel ideal up to the truncation degree.
 
-    In each degree d the kernel K_d of the monomial evaluation map, with
-    columns read straight off the evaluated polynomials, is computed exactly
-    in its reduced echelon basis {k_q}.  The fresh relations are the k_q
+    In each degree d the kernel K_d of the monomial evaluation map is taken
+    in its reduced echelon basis {k_q}, over monomial columns ordered by
+    (value, exponent), a monomial order.  The fresh relations are the k_q
     whose pivot q is not a pivot of the span O_d of the lower relations'
-    multiples: K_d's reduced echelon basis is unique; O_d lies in K_d, so
-    every pivot of O_d is one of K_d; and an element of K_d is zero at every
-    pivot of O_d exactly when it is in the span of those k_q.  So the output
-    is canonical, in ascending pivot order.
-    Monomial columns are ordered by (value, exponent), which places each
-    relation's pivot inside its initial form.  Every kernel dimension is
-    kept for the flatness check.
+    multiples (O_d lies in K_d, whose reduced basis is unique), so the output
+    is canonical, in ascending pivot order.  With monomial lifts K_d is
+    spanned by e_f - e_last(F) over the fibres F, the runs of equal value;
+    every relation is such a binomial x^a - x^c, and the pivots of O_d are
+    the monomials but each component's greatest, joining a+b with c+b for
+    every multiple (i, b) (Sturmfels, Gröbner Bases and Convex Polytopes,
+    ch. 4-5).  Otherwise K_d is the nullspace of the evaluated columns; if
+    every lower relation's least-value part is a binomial, a spanning
+    forest's multiples are independent, so O_d = K_d when #monomials -
+    #components is dim K_d; failing that, O_d is eliminated.
     """
     if relation_degree < 1:
         raise ValidationError("relation truncation degree must be at least 1")
-    field = presentation.field
+    one = presentation.field.one
     labels = presentation.labels
-    evaluate = _Evaluator(presentation)
+    monomial = _monomial_lifts(presentation)
+    evaluate = None if monomial else _Evaluator(presentation)
     relations: list[Relation] = []
     leads: list[tuple] = []  # each relation's pivot monomial
+    ends: list = []  # the binomial ends of each relation's least-value part, or None
     kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
-        monomials, mon_index = presentation.degree_monomials(degree)
+        monomials, mon_index, values = presentation.degree_monomials(degree)
         multiples = _multiples(relations, presentation, degree)
         # The column order is a monomial order, so b * relation has pivot
         # b + lead: multiples with distinct pivots are independent kernel
         # elements, a lower bound on the kernel dimension known in advance.
-        least = len({tuple(x + y for x, y in zip(leads[i], b)) for i, b in multiples})
+        least = len({tuple(map(add, leads[i], b)) for i, b in multiples})
         where = f"reducing degree-{degree} relations"
         _check_cap(len(multiples) + least, len(monomials), matrix_cap, where)
-        columns: dict = {}
-        for j, a in enumerate(monomials):
-            for exp, c in evaluate(a).terms:
-                columns.setdefault(exp, {})[j] = c
-        _check_cap(len(monomials), len(columns), matrix_cap, f"in degree {degree}")
-        kernel = echelon.nullspace(
-            columns.values(), len(monomials), field.one, max_cells=matrix_cap
-        )
+        if monomial:  # {f: q} for the basis e_f - e_q, q the last of f's fibre (a column)
+            last = list(range(len(values)))
+            for j in range(len(values) - 2, -1, -1):
+                if values[j] == values[j + 1]:
+                    last[j] = last[j + 1]
+            kernel = {f: q for f, q in enumerate(last) if f != q}
+            _check_cap(len(monomials), len(last) - len(kernel), matrix_cap, f"in degree {degree}")
+            echelon.check_basis_cap(len(kernel), len(monomials), matrix_cap)
+        else:
+            columns: dict = {}
+            for j, a in enumerate(monomials):
+                for exp, c in evaluate(a).terms:
+                    columns.setdefault(exp, {})[j] = c
+            _check_cap(len(monomials), len(columns), matrix_cap, f"in degree {degree}")
+            if degree == relation_degree:
+                evaluate = None  # no later degree reads the evaluations
+            basis = echelon.nullspace(columns.values(), len(monomials), one, max_cells=matrix_cap)
+            kernel = {min(vec): vec for vec in basis}
         kernel_dims.append(len(kernel))
         _check_cap(len(multiples) + len(kernel), len(monomials), matrix_cap, where)
-        old = echelon.Echelon()
-        for i, b in multiples:
-            old.insert(_shifted_row(relations[i].poly, b, mon_index))
-        for vec in kernel:
-            pivot = min(vec)
-            if pivot in old.rows:
+        roots = _component_roots(mon_index, ends, multiples)
+        if roots is not None:
+            old = {j for j, r in enumerate(roots) if r != j}  # the pivots of O_d
+        if roots is None or not (monomial or len(old) == len(kernel)):
+            form = echelon.Echelon()
+            for i, b in multiples:
+                form.insert(_shifted_row(relations[i].poly, b, mon_index))
+            old = form.rows
+        for pivot in kernel:
+            if pivot in old:
                 continue
-            coeffs = {monomials[j]: c for j, c in vec.items()}
-            value = _monomial_value(presentation, monomials[pivot])
-            relations.append(Relation(Polynomial.from_dict(labels, coeffs), (degree, value)))
+            vec = {pivot: one, kernel[pivot]: -one} if monomial else kernel[pivot]
+            poly = Polynomial.from_dict(labels, {monomials[j]: c for j, c in vec.items()})
+            relations.append(Relation(poly, (degree, values[pivot])))
             leads.append(monomials[pivot])
+            ends.append(_binomial_ends(
+                {monomials[j]: c for j, c in vec.items() if values[j] == values[pivot]}, one))
     return RelationSet(tuple(relations), relation_degree, tuple(kernel_dims))
 
 
@@ -411,52 +448,6 @@ def rees_relations(
     return replace(relation_set, relations=tuple(enriched))
 
 
-def specialize_rees(relation: Relation, presentation: Presentation, tau) -> Polynomial:
-    """The family equation at a fixed parameter value, in the labels."""
-    if relation.rees is None:
-        raise ValidationError("relation has no family form yet")
-    labels = presentation.labels
-    values = {REES_PARAMETER: Polynomial.constant(labels, tau)}
-    return relation.rees.substitute(values, labels)
-
-
-def fiber_check(
-    relation_set: RelationSet,
-    presentation: Presentation,
-    pi: WeightVector,
-    t0,
-) -> bool:
-    """Whether the fiber at a nonzero parameter is the original ideal.
-
-    Rescaling each label by the parameter raised to its weight must turn
-    every specialized family equation into an exact scalar multiple of the
-    relation it came from.
-    """
-    field = presentation.field
-    t0 = field(t0)
-    if not t0:
-        raise ValidationError("fiber parameter must be nonzero; use initial forms at zero")
-    labels = presentation.labels
-    weights = [pi.weight(g.degree) for g in presentation.generators]
-    for rel in relation_set.relations:
-        if rel.rees is None or rel.weight is None:
-            raise ValidationError("run the family homogenization first")
-        values = {
-            label: Polynomial.monomial(
-                labels,
-                tuple(1 if j == i else 0 for j in range(len(labels))),
-                t0 ** w,
-            )
-            for i, (label, w) in enumerate(zip(labels, weights))
-        }
-        values[REES_PARAMETER] = Polynomial.constant(labels, t0)
-        specialized = rel.rees.substitute(values, labels)
-        expected = rel.poly.scale(t0 ** rel.weight)
-        if specialized != expected:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Flatness certificates.
 
@@ -488,8 +479,11 @@ def flatness_report(
 
     The generic fiber is not eliminated again: its degree-d dimension is the
     number of label monomials less the kernel dimension the relation pass
-    recorded.  The special fiber is the echelon form of the initial-form
-    multiples.
+    recorded.  The special fiber is the span of the initial-form multiples.
+    When every initial form is a binomial ±(x^a - x^c), its reduced echelon
+    rows are e_j - e_root(j) over the union-find components, so its rank is
+    #monomials - #components and its rows are binomials of one value exactly
+    when each component is; otherwise the multiples are eliminated.
     """
     if relation_set.truncation_degree < check_degree:
         raise ValidationError("relations were not computed far enough")
@@ -499,26 +493,25 @@ def flatness_report(
         raise ValidationError("initial forms missing; run the homogenization first")
     if len(relation_set.kernel_dims) <= check_degree:
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
-    field = presentation.field
+    one = presentation.field.one
+    ends = [_binomial_ends(dict(rel.initial.terms), one) for rel in relation_set.relations]
     rows = []
     binomial = True
     for degree in range(0, check_degree + 1):
-        monomials, mon_index = presentation.degree_monomials(degree)
+        monomials, mon_index, values = presentation.degree_monomials(degree)
         multiples = _multiples(relation_set.relations, presentation, degree)
         _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
-        special = echelon.Echelon()
-        for i, b in multiples:
-            special.insert(_shifted_row(relation_set.relations[i].initial, b, mon_index))
-        for row in special.rows.values():  # every pivot coefficient is one
-            ends = sorted(row)
-            binomial = binomial and (
-                len(ends) == 2
-                and row[ends[1]] == -field.one
-                and _monomial_value(presentation, monomials[ends[0]])
-                == _monomial_value(presentation, monomials[ends[1]])
-            )
+        roots = _component_roots(mon_index, ends, multiples)
+        if roots is None:
+            special = echelon.Echelon()
+            for i, b in multiples:
+                special.insert(_shifted_row(relation_set.relations[i].initial, b, mon_index))
+            pairs = [_binomial_ends(row, one) for row in special.rows.values()]
+        else:
+            pairs = [(j, r) for j, r in enumerate(roots) if r != j]  # the rows e_j - e_r
+        binomial = binomial and all(p and values[p[0]] == values[p[1]] for p in pairs)
         generic = len(monomials) - relation_set.kernel_dims[degree]
-        initial = len(monomials) - len(special.rows)
+        initial = len(monomials) - len(pairs)
         rows.append(FlatnessRow(degree, generic, initial, len(gamma.slice(degree))))
     verdict = all(
         r.quotient_dim == r.initial_quotient_dim == r.semigroup_count for r in rows
@@ -555,8 +548,9 @@ def _difference_points(presentation: Presentation, relation_set: RelationSet) ->
     """Generator degrees, and (0, u - v) for each term value v of a relation of value u."""
     pts = {(m, *u) for m, u in presentation.degrees}
     for rel in relation_set.relations:
+        _, mon_index, values = presentation.degree_monomials(rel.degree[0])
         for exp, _ in rel.poly.terms:
-            value = _monomial_value(presentation, exp)
+            value = values[mon_index[exp]]
             pts.add((0, *(x - y for x, y in zip(rel.degree[1], value))))
     return pts
 

@@ -70,6 +70,12 @@ class Echelon:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
+def check_basis_cap(dim: int, ncols: int, max_cells: int) -> None:
+    """Raise unless a kernel basis of `dim` vectors of width `ncols` fits the cap."""
+    if dim * ncols > max_cells:
+        raise ResourceCapError(f"kernel basis too large: {dim}x{ncols} > {max_cells}")
+
+
 def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = None) -> list:
     """Reduced echelon basis of {x : sum_j row[j] x_j = 0 for every row}.
 
@@ -83,8 +89,8 @@ def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = Non
     for row in rows:
         reversed_form.insert({-j: c for j, c in row.items()})
     free = [j for j in range(ncols) if -j not in reversed_form.rows]
-    if max_cells is not None and len(free) * ncols > max_cells:
-        raise ResourceCapError(f"kernel basis too large: {len(free)}x{ncols} > {max_cells}")
+    if max_cells is not None:
+        check_basis_cap(len(free), ncols, max_cells)
     basis = {f: {f: one} for f in free}
     for p, row in reversed_form.rows.items():
         for k, c in row.items():

@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from okv.degeneration import REES_PARAMETER
+from okv.errors import ValidationError
 from okv.polynomials import Polynomial
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu_image
@@ -213,6 +215,74 @@ def pairwise_gap_alphas(points, dim):
     for k in range(dim - 1, -1, -1):
         alphas[k] = gap * sum(alphas[k + 1:]) + 1
     return tuple(alphas)
+
+
+def modified_flat_key(flat) -> tuple:
+    """Sort key of the modified order: degree up, then values down."""
+    return (flat[0],) + tuple(-c for c in flat[1:])
+
+
+def preserves_modified_order(pi, points) -> bool:
+    """Brute-force pairwise check of strict order preservation."""
+    pts = sorted({tuple(p) for p in points}, key=modified_flat_key)
+    weights = [pi.weight_flat(p) for p in pts]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i] != pts[j] and not weights[i] < weights[j]:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Presentations and their Rees families, checked term by term.
+
+def generator_by_degree(presentation, degree):
+    """The presentation generator of the given (m, u)."""
+    for g in presentation.generators:
+        if g.degree == degree:
+            return g
+    raise ValidationError(f"no generator of degree {degree}")
+
+
+def specialize_rees(relation, presentation, tau):
+    """The family equation at a fixed parameter value, in the labels."""
+    if relation.rees is None:
+        raise ValidationError("relation has no family form yet")
+    labels = presentation.labels
+    values = {REES_PARAMETER: Polynomial.constant(labels, tau)}
+    return relation.rees.substitute(values, labels)
+
+
+def fiber_check(relation_set, presentation, pi, t0) -> bool:
+    """Whether the fiber at a nonzero parameter is the original ideal.
+
+    Rescaling each label by the parameter raised to its weight must turn
+    every specialized family equation into an exact scalar multiple of the
+    relation it came from.
+    """
+    field = presentation.field
+    t0 = field(t0)
+    if not t0:
+        raise ValidationError("fiber parameter must be nonzero; use initial forms at zero")
+    labels = presentation.labels
+    weights = [pi.weight(g.degree) for g in presentation.generators]
+    for rel in relation_set.relations:
+        if rel.rees is None or rel.weight is None:
+            raise ValidationError("run the family homogenization first")
+        values = {
+            label: Polynomial.monomial(
+                labels,
+                tuple(1 if j == i else 0 for j in range(len(labels))),
+                t0 ** w,
+            )
+            for i, (label, w) in enumerate(zip(labels, weights))
+        }
+        values[REES_PARAMETER] = Polynomial.constant(labels, t0)
+        specialized = rel.rees.substitute(values, labels)
+        expected = rel.poly.scale(t0 ** rel.weight)
+        if specialized != expected:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -22,23 +22,26 @@ from okv.degeneration import (
     default_relation_degree,
     degenerate_section_space,
     degenerate_semigroup,
-    fiber_check,
     flag_restriction_check,
     flatness_report,
     initial_form,
     kernel_ideal_truncated,
-    modified_flat_key,
     presentation_from_generators,
-    preserves_modified_order,
     rees_relations,
-    specialize_rees,
     subsystem_compatibility,
     weight_vector_for,
 )
 from okv.jobs import load_fixture
 from okv.spaces import reduce_to_basis
 
-from oracles import dense_kernel_relations, pairwise_gap_alphas
+from oracles import (
+    dense_kernel_relations,
+    fiber_check,
+    modified_flat_key,
+    pairwise_gap_alphas,
+    preserves_modified_order,
+    specialize_rees,
+)
 
 ELLIPTIC_GOOD = [(1, (0,)), (1, (1,)), (1, (3,))]
 
@@ -212,9 +215,9 @@ def test_kernel_equals_dense_path_on_random_generators(generators, depth):
     )
 
 
-def test_kernel_builds_one_echelon_per_degree_and_reduces_nothing(monkeypatch):
-    """Only the multiples of lower relations are eliminated in each degree;
-    no kernel vector is reduced against them."""
+def count_echelons(monkeypatch):
+    """The names of the functions that build an `Echelon`, in order, and the
+    counts of `insert` and `reduce` calls on them."""
     built, calls = [], {"insert": 0, "reduce": 0}
 
     class Counting(echelon.Echelon):
@@ -231,12 +234,42 @@ def test_kernel_builds_one_echelon_per_degree_and_reduces_nothing(monkeypatch):
             return super().reduce(row)
 
     monkeypatch.setattr(echelon, "Echelon", Counting)
-    job = load_fixture("elliptic-bad")
-    pres = presentation_from_generators(job.generator_points())
-    kernel = kernel_ideal_truncated(pres, job.relation_degree)
+    return built, calls
+
+
+def test_kernel_builds_one_echelon_per_fallback_degree_and_reduces_nothing(monkeypatch):
+    """Only the multiples of lower relations are eliminated in each degree the
+    binomial certificate leaves open; no kernel vector is reduced against
+    them.  On p1xp1 degree 1 has no kernel, so the components settle it;
+    degrees 2 and 3 each have a fresh relation, which no count of
+    components certifies, so both fall back to the echelon."""
+    built, calls = count_echelons(monkeypatch)
+    job = load_fixture("counterexample-p1xp1")
+    pres = build_presentation(job.section_space(), job.max_degree)
+    kernel = kernel_ideal_truncated(pres, 3)
     assert len(kernel.relations) > 0
-    assert built.count("kernel_ideal_truncated") == job.relation_degree
+    assert built.count("kernel_ideal_truncated") == 2
     assert calls["reduce"] == calls["insert"]  # each reduction is an insertion's
+
+
+def test_monomial_model_builds_no_echelon_and_evaluates_nothing(monkeypatch):
+    """With monomial lifts the kernel is read off the fibres and the lower
+    relations' multiples off union-find components, in both passes."""
+    built, calls = count_echelons(monkeypatch)
+    evaluators = []
+
+    class Recording(degeneration._Evaluator):
+        def __init__(self, presentation):
+            super().__init__(presentation)
+            evaluators.append(self)
+
+    monkeypatch.setattr(degeneration, "_Evaluator", Recording)
+    job = load_fixture("elliptic-bad")
+    report = degenerate_semigroup(job.generator_points(), job.max_degree, job.relation_degree)
+    assert len(report.relations.relations) > 0
+    assert report.flatness.binomial_initial
+    assert built == [] and calls == {"insert": 0, "reduce": 0}
+    assert evaluators == []
 
 
 # ---------------------------------------------------------------------------

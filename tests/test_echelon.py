@@ -19,6 +19,7 @@ from okv import degeneration, linalg
 from okv.degeneration import (
     Presentation,
     PresentationGenerator,
+    Relation,
     build_presentation,
     flatness_report,
     kernel_ideal_truncated,
@@ -33,6 +34,7 @@ from okv.jobs import fixture_names, load_fixture
 from okv.polynomials import Polynomial
 from okv.semigroups import build_gamma, gamma_from_generators
 
+from test_degeneration import abstract_generator_sets
 from oracles import (
     dense_flatness,
     dense_kernel_relations,
@@ -191,10 +193,101 @@ def test_kernel_cap_trips_before_evaluating_the_degree(monkeypatch):
             evaluators.append(self)
 
     monkeypatch.setattr(degeneration, "_Evaluator", Recording)
-    job = load_fixture("elliptic-bad", 10)
-    pres = presentation_from_generators(job.generator_points())
-    with pytest.raises(ResourceCapError, match="reducing degree-10 relations"):
-        kernel_ideal_truncated(pres, job.relation_degree)
+    job = load_fixture("bott-samelson-m")
+    pres = build_presentation(job.section_space(), job.max_degree)
+    with pytest.raises(ResourceCapError, match="reducing degree-4 relations"):
+        kernel_ideal_truncated(pres, 4)
     (evaluate,) = evaluators
     degrees = {sum(n * g for n, g in zip(a, pres.grades)) for a in evaluate.cache}
-    assert max(degrees) == 9
+    assert max(degrees) == 3
+
+
+def test_monomial_kernel_cap_trips_without_evaluating(monkeypatch):
+    """Monomial lifts are never evaluated, and the cap trips in the same
+    degree with the same sizes as on the evaluated path."""
+    evaluators = []
+    monkeypatch.setattr(degeneration, "_Evaluator", lambda p: evaluators.append(p))
+    job = load_fixture("elliptic-bad", 10)
+    pres = presentation_from_generators(job.generator_points())
+    with pytest.raises(ResourceCapError, match="reducing degree-10 relations: 1384x423"):
+        kernel_ideal_truncated(pres, job.relation_degree)
+    assert evaluators == []
+
+
+def scaled_first_lift(pres: Presentation) -> Presentation:
+    """The same presentation with the first lift doubled: no longer a
+    monomial model, so every degree is evaluated."""
+    first, *rest = pres.generators
+    doubled = dataclasses.replace(first, lift=first.lift.scale(pres.field(2)))
+    return Presentation((doubled, *rest), pres.model_variables, pres.field)
+
+
+def cap_error(pres, depth, cap):
+    try:
+        kernel_ideal_truncated(pres, depth, cap)
+    except ResourceCapError as exc:
+        return str(exc)
+    return None
+
+
+def test_monomial_and_evaluated_paths_trip_every_cap_alike():
+    """Seven generators of degree one and values 0..6: degree 2 has 28
+    monomials in 13 fibres, so a kernel basis of 15 vectors can exceed a cap
+    the evaluation matrix fits.  Over a range of caps the monomial path and
+    the evaluated one raise the same text, and all three cap messages occur."""
+    pres = presentation_from_generators([(1, (i,)) for i in range(7)])
+    scaled = scaled_first_lift(pres)
+    kinds = set()
+    for cap in range(1, 1500, 3):
+        text = cap_error(pres, 3, cap)
+        assert cap_error(scaled, 3, cap) == text
+        if text:
+            kinds.add(text.split(":")[0])
+    assert kinds == {
+        "matrix cap exceeded in degree 1",
+        "matrix cap exceeded in degree 2",
+        "kernel basis too large",
+        "matrix cap exceeded reducing degree-3 relations",
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(abstract_generator_sets(), st.integers(1, 4), st.sampled_from(sorted(FIELDS)))
+def test_monomial_flatness_matches_dense_path(generators, depth, field_name):
+    """The kernel and flatness passes on monomial lifts, read off fibres and
+    components, equal the dense path over Q and F_32003, and so does the
+    evaluated path on the same generators with one lift scaled."""
+    pres = presentation_from_generators(generators)
+    if FIELDS[field_name] is FP:
+        pres = over_prime_field(pres)
+    gamma = gamma_from_generators(generators, depth)
+    for case in (pres, scaled_first_lift(pres)):
+        kernel = kernel_ideal_truncated(case, depth)
+        assert [(r.poly, r.degree) for r in kernel.relations] == dense_kernel_relations(
+            case, depth
+        )
+        enriched = rees_relations(kernel, case, weight_vector_for(case, kernel))
+        report = flatness_report(case, enriched, gamma, depth)
+        rows, binomial = dense_flatness(case, enriched.relations, gamma, depth)
+        got = [(r.degree, r.quotient_dim, r.initial_quotient_dim, r.semigroup_count)
+               for r in report.rows]
+        assert got == rows
+        assert report.binomial_initial == binomial
+
+
+def test_component_flatness_reads_the_values_of_each_component():
+    """A binomial initial form joining monomials of two values, X1 - X2 on
+    values 0 and 1, leaves a special fibre whose rows are binomials but not
+    of one value: the component path says so, as the dense path does."""
+    generators = [(1, (0,)), (1, (1,)), (1, (3,))]
+    pres = presentation_from_generators(generators)
+    x1_minus_x2 = Polynomial.from_dict(pres.labels, {(1, 0, 0): QQ.one, (0, 1, 0): -QQ.one})
+    relations = (Relation(x1_minus_x2, (1, (0,)), initial=x1_minus_x2),)
+    mixed = dataclasses.replace(kernel_ideal_truncated(pres, 2), relations=relations)
+    gamma = gamma_from_generators(generators, 2)
+    report = flatness_report(pres, mixed, gamma, 2)
+    rows, binomial = dense_flatness(pres, relations, gamma, 2)
+    got = [(r.degree, r.quotient_dim, r.initial_quotient_dim, r.semigroup_count)
+           for r in report.rows]
+    assert got == rows
+    assert report.binomial_initial is binomial is False
