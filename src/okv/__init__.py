@@ -10,7 +10,6 @@ from .spaces import SectionSpace, contains, product_space, reduce_to_basis
 from .valuation import (
     nu,
     nu_image,
-    nu_prefix_image,
     restricted_system,
     saturation_check,
     saturation_from_values,
@@ -20,7 +19,6 @@ from .semigroups import (
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
-    gamma_from_slices,
     hilbert_counts,
     minimal_generators,
     okounkov_body_estimate,

@@ -35,7 +35,7 @@ from .semigroups import (
     okounkov_body_estimate,
     semigroup_normality_check,
 )
-from .valuation import nu, saturation_check
+from .valuation import nu, nu_image, saturation_check
 
 CHECKS = ("normality", "saturation", "restriction", "compatibility")
 
@@ -62,7 +62,7 @@ def _run_nu(job: JobSpec) -> dict:
     return {
         "valuations": rows,
         "dimension": space.dimension,
-        "image": sorted(rpt.point_list(p.leading_exponent()) for p in space.basis),
+        "image": sorted(rpt.point_list(u) for u in nu_image(space)),
     }
 
 

@@ -471,11 +471,11 @@ def flatness_report(
     presentation: Presentation,
     relation_set: RelationSet,
     gamma: GradedSemigroup,
-    check_degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> FlatnessReport:
     """Degreewise Hilbert comparison of the generic fiber, the special fiber,
-    and the semigroup algebra, plus a binomial-shape check on the special fiber.
+    and the semigroup algebra, plus a binomial-shape check on the special fiber,
+    in every degree up to the relations' truncation degree.
 
     The generic fiber is not eliminated again: its degree-d dimension is the
     number of label monomials less the kernel dimension the relation pass
@@ -485,19 +485,18 @@ def flatness_report(
     #monomials - #components and its rows are binomials of one value exactly
     when each component is; otherwise the multiples are eliminated.
     """
-    if relation_set.truncation_degree < check_degree:
-        raise ValidationError("relations were not computed far enough")
-    if gamma.max_degree < check_degree:
+    depth = relation_set.truncation_degree
+    if gamma.max_degree < depth:
         raise ValidationError("semigroup was not built far enough")
     if any(rel.initial is None for rel in relation_set.relations):
         raise ValidationError("initial forms missing; run the homogenization first")
-    if len(relation_set.kernel_dims) <= check_degree:
+    if len(relation_set.kernel_dims) <= depth:
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     one = presentation.field.one
     ends = [_binomial_ends(dict(rel.initial.terms), one) for rel in relation_set.relations]
     rows = []
     binomial = True
-    for degree in range(0, check_degree + 1):
+    for degree in range(0, depth + 1):
         monomials, mon_index, values = presentation.degree_monomials(degree)
         multiples = _multiples(relation_set.relations, presentation, degree)
         _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
@@ -516,7 +515,7 @@ def flatness_report(
     verdict = all(
         r.quotient_dim == r.initial_quotient_dim == r.semigroup_count for r in rows
     )
-    return FlatnessReport(tuple(rows), binomial, verdict, check_degree)
+    return FlatnessReport(tuple(rows), binomial, verdict, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +529,6 @@ class DegenerationReport:
     relations: RelationSet
     flatness: FlatnessReport
     gamma: GradedSemigroup
-    max_degree: int
-    relation_degree: int
 
 
 def weight_vector_for(
@@ -564,18 +561,9 @@ def run_degeneration(
     kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap)
     pi = weight_vector_for(presentation, kernel)
     enriched = rees_relations(kernel, presentation, pi)
-    flatness = flatness_report(presentation, enriched, gamma, relation_degree, matrix_cap)
+    flatness = flatness_report(presentation, enriched, gamma, matrix_cap)
     weights = tuple(pi.weight(g.degree) for g in presentation.generators)
-    return DegenerationReport(
-        presentation,
-        pi,
-        weights,
-        enriched,
-        flatness,
-        gamma,
-        gamma.max_degree,
-        relation_degree,
-    )
+    return DegenerationReport(presentation, pi, weights, enriched, flatness, gamma)
 
 
 def default_relation_degree(presentation: Presentation) -> int:

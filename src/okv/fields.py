@@ -21,10 +21,6 @@ class RationalField:
         return Fraction(numerator, denominator)
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
     def one(self) -> Fraction:
         return Fraction(1)
 
@@ -154,10 +150,6 @@ class PrimeField:
         if denominator % self.p == 0:
             raise ValidationError(f"denominator {denominator} is zero in F_{self.p}")
         return num / FpElement(denominator, self.p)
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
 
     @property
     def one(self) -> FpElement:

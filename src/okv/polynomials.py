@@ -56,9 +56,6 @@ class Polynomial:
     def monomial(variables: Iterable[str], exponent: Exponent, coeff) -> "Polynomial":
         return Polynomial.from_dict(variables, {tuple(exponent): coeff})
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,11 +93,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, scalar) -> "Polynomial":
-        if not scalar:
-            return Polynomial.zero(self.variables)
-        return Polynomial(self.variables, tuple((e, c * scalar) for e, c in self.terms))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_variables(other)
         acc: dict = {}
@@ -116,26 +108,19 @@ class Polynomial:
                     acc.pop(exp, None)
         return Polynomial(self.variables, tuple(sorted(acc.items(), key=lambda t: t[0])))
 
-    def __pow__(self, n: int) -> "Polynomial":
-        return self.power(n)
-
     def power(self, n: int, cap_monomials: int | None = None) -> "Polynomial":
-        """self ** n by repeated squaring; with a cap, ResourceCapError as soon
-        as an intermediate result has more than cap_monomials terms."""
+        """self ** n by repeated squaring; with a cap, ResourceCapError before
+        any product whose candidate terms exceed cap_monomials is formed."""
         if n < 0:
             raise ValidationError("negative polynomial power")
         result = Polynomial.constant(self.variables, _one_like(self))
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _product(result, base, cap_monomials, "expanding a power")
+            if n > 1:
+                base = _product(base, base, cap_monomials, "expanding a power")
             n >>= 1
-            largest = max(len(result.terms), len(base.terms))
-            if cap_monomials is not None and largest > cap_monomials:
-                raise ResourceCapError(
-                    f"monomial cap exceeded expanding a power: {largest} > {cap_monomials}"
-                )
         return result
 
     def substitute(self, values: Mapping[str, "Polynomial"], variables: Iterable[str],
@@ -143,9 +128,9 @@ class Polynomial:
         """Evaluate with each variable replaced by a polynomial in `variables`.
 
         Variables missing from `values` are kept, and must then be present in
-        the target variable list.  With a cap, ResourceCapError as soon as a
-        power of an image or a product of such powers has more than
-        cap_monomials terms, before anything larger is expanded.
+        the target variable list.  With a cap, ResourceCapError before a
+        product inside a power of an image, or of such powers, is formed when
+        its candidate terms exceed cap_monomials.
         """
         target = tuple(variables)
         images = {}
@@ -165,12 +150,8 @@ class Polynomial:
             term = Polynomial.constant(target, c)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * images[i].power(e, cap_monomials)
-                    if cap_monomials is not None and len(term.terms) > cap_monomials:
-                        raise ResourceCapError(
-                            f"monomial cap exceeded substituting coordinates: "
-                            f"{len(term.terms)} > {cap_monomials}"
-                        )
+                    power = images[i].power(e, cap_monomials)
+                    term = _product(term, power, cap_monomials, "substituting coordinates")
             total = total + term
         return total
 
@@ -203,6 +184,15 @@ def _sign_split(c):
         mag = -c if neg else c
         return neg, None if mag == 1 else str(mag)
     return False, None if c == 1 else str(c)
+
+
+def _product(a: Polynomial, b: Polynomial, cap: int | None, doing: str) -> Polynomial:
+    """a * b; with a cap, ResourceCapError before it is formed when its
+    candidate terms, one per pair of terms, exceed the cap."""
+    candidates = len(a.terms) * len(b.terms)
+    if cap is not None and candidates > cap:
+        raise ResourceCapError(f"monomial cap exceeded {doing}: {candidates} > {cap}")
+    return a * b
 
 
 def _one_like(p: Polynomial):
@@ -281,7 +271,7 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                total = total * self.factor()
+                total = _product(total, self.factor(), self.cap_monomials, "multiplying")
             else:
                 return total
 
@@ -342,8 +332,9 @@ def parse_polynomial(
     """Parse an expression in +, -, *, ^, rational literals and declared names.
 
     Returns the expanded normal form; printing and re-parsing a normal form
-    is the identity.  With a monomial cap, a power `^` stops with
-    ResourceCapError once an intermediate result has more terms than the cap.
+    is the identity.  With a monomial cap, ResourceCapError stops a `*`, or a
+    multiplication inside a `^`, before a product whose candidate terms
+    exceed the cap is formed.
     """
     variables = tuple(variables)
     if len(set(variables)) != len(variables) or not variables:

@@ -138,7 +138,7 @@ def degeneration_dict(report: DegenerationReport) -> dict:
             ],
         },
         "semigroup": semigroup_dict(report.gamma),
-        "relation_degree": report.relation_degree,
+        "relation_degree": report.relations.truncation_degree,
     }
 
 

@@ -43,7 +43,7 @@ from .errors import InvariantError, ResourceCapError, ValidationError
 from .polynomials import Polynomial, polynomial_field
 from .polytopes import RationalPolytope, convex_hull, lattice_points
 from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace
-from .valuation import nu
+from .valuation import nu, nu_image
 
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 
@@ -165,9 +165,9 @@ class Subduction:
         self.extent = max([1, *(c for p in space.basis for e, _ in p.terms for c in e)])
         self.packing = _Packing(self.dim, self.extent)
         self.one = polynomial_field(space.basis[0]).one
-        if any(p.terms[0][1] != self.one for p in space.basis) or len(
-            set(space.leading_exponents())
-        ) < space.dimension:
+        if len(nu_image(space)) < space.dimension or any(
+            p.terms[0][1] != self.one for p in space.basis
+        ):
             raise ValidationError("subduction needs a basis with distinct monic pivots")
         self.gens, self.polys, self.products, self.terms = [], [], {}, 0
         self.slices = [{0: 0}, {}]
@@ -292,18 +292,6 @@ def build_gamma(
     """Valuation images of all powers of a section space up to a degree, with
     their minimal generators, by subduction."""
     return Subduction(space, cap_monomials).semigroup(max_degree)
-
-
-def gamma_from_slices(slices, dim: int) -> GradedSemigroup:
-    """A semigroup from hand-built slices, which must be closed under addition.
-    They are exactly when every point, taken as a generator, gives them back;
-    the comparison builds them as a semigroup, which checks their shape."""
-    given = tuple(frozenset(tuple(u) for u in s) for s in slices)
-    points = [(m, u) for m in range(1, len(given)) for u in given[m]]
-    gamma = gamma_from_generators(points, len(given) - 1, dim)
-    if GradedSemigroup(dim, gamma.max_degree, given, gamma.generators) != gamma:
-        raise ValidationError("slices are not closed under addition")
-    return gamma
 
 
 def gamma_from_generators(

@@ -33,9 +33,6 @@ class SectionSpace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def leading_exponents(self) -> list[tuple]:
-        return [p.leading_exponent() for p in self.basis]
-
 
 def reduce_to_basis(
     spanning: Sequence[Polynomial],
@@ -96,16 +93,12 @@ def _echelon(space: SectionSpace) -> Echelon:
     return form
 
 
-def reduce_mod(space: SectionSpace, poly: Polynomial) -> Polynomial:
-    """Residue of a polynomial after reducing against the basis."""
+def contains(space: SectionSpace, poly: Polynomial) -> bool:
+    """Exact membership: the polynomial reduces to zero against the basis.
+    A polynomial over other variables is a ValidationError."""
     if poly.variables != space.variables:
         raise ValidationError("variable mismatch in reduction")
-    return Polynomial.from_dict(space.variables, _echelon(space).reduce(dict(poly.terms)))
-
-
-def contains(space: SectionSpace, poly: Polynomial) -> bool:
-    """Exact membership test by full reduction."""
-    return reduce_mod(space, poly).is_zero
+    return not _echelon(space).reduce(dict(poly.terms))
 
 
 def is_subspace(inner: SectionSpace, outer: SectionSpace) -> bool:

@@ -31,14 +31,6 @@ def nu_image(space: SectionSpace) -> set:
     return {p.leading_exponent() for p in space.basis}
 
 
-def nu_prefix_image(space: SectionSpace, r: int) -> set:
-    """Image of the valuation truncated to the first r coordinates."""
-    dim = len(space.variables)
-    if not 0 <= r <= dim:
-        raise ValidationError(f"prefix length {r} out of range 0..{dim}")
-    return {u[:r] for u in nu_image(space)}
-
-
 def restricted_system(space: SectionSpace, orders) -> SectionSpace:
     """Sections of prescribed vanishing orders along the leading flag members.
 

@@ -11,6 +11,7 @@ from math import gcd
 from okv.degeneration import REES_PARAMETER
 from okv.errors import ValidationError
 from okv.polynomials import Polynomial
+from okv.semigroups import GradedSemigroup, gamma_from_generators
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu_image
 
@@ -137,6 +138,26 @@ def oracle_degree_one_generation(slices):
         if reachable - set(slices[m]):
             raise ValueError("slices are not closed under addition")
     return "generated-in-degree-one", None
+
+
+def nu_prefix_image(space, r):
+    """Image of the valuation truncated to the first r coordinates."""
+    dim = len(space.variables)
+    if not 0 <= r <= dim:
+        raise ValidationError(f"prefix length {r} out of range 0..{dim}")
+    return {u[:r] for u in nu_image(space)}
+
+
+def gamma_from_slices(slices, dim):
+    """A semigroup from hand-built slices, which must be closed under addition.
+    They are exactly when every point, taken as a generator, gives them back;
+    the comparison builds them as a semigroup, which checks their shape."""
+    given = tuple(frozenset(tuple(u) for u in s) for s in slices)
+    points = [(m, u) for m in range(1, len(given)) for u in given[m]]
+    gamma = gamma_from_generators(points, len(given) - 1, dim)
+    if GradedSemigroup(dim, gamma.max_degree, given, gamma.generators) != gamma:
+        raise ValidationError("slices are not closed under addition")
+    return gamma
 
 
 def product_loop_slices(space, max_degree):
@@ -279,7 +300,7 @@ def fiber_check(relation_set, presentation, pi, t0) -> bool:
         }
         values[REES_PARAMETER] = Polynomial.constant(labels, t0)
         specialized = rel.rees.substitute(values, labels)
-        expected = rel.poly.scale(t0 ** rel.weight)
+        expected = rel.poly * Polynomial.constant(labels, t0 ** rel.weight)
         if specialized != expected:
             return False
     return True
@@ -397,7 +418,7 @@ def dense_kernel_relations(presentation, relation_degree):
             continue
         columns = sorted({exp for p in evaluations for exp, _ in p.terms})
         col = {exp: j for j, exp in enumerate(columns)}
-        transpose = [[field.zero] * len(monomials) for _ in columns]
+        transpose = [[field(0)] * len(monomials) for _ in columns]
         for i, p in enumerate(evaluations):
             for exp, c in p.terms:
                 transpose[col[exp]][i] = c
@@ -405,7 +426,7 @@ def dense_kernel_relations(presentation, relation_degree):
         if not kernel:
             continue
         old = _dense_multiples(
-            [(p, d[0]) for p, d in relations], presentation, degree, index, field.zero
+            [(p, d[0]) for p, d in relations], presentation, degree, index, field(0)
         )
         old_rref, old_pivots = dense_rref(old, len(monomials))
         fresh = [dense_reduce_against(v, old_rref, old_pivots) for v in kernel]
@@ -430,14 +451,14 @@ def dense_flatness(presentation, relations, gamma, check_degree):
         col = {exp: j for j, exp in enumerate(columns)}
         matrix = []
         for p in evaluations:
-            row = [field.zero] * len(columns)
+            row = [field(0)] * len(columns)
             for exp, c in p.terms:
                 row[col[exp]] = c
             matrix.append(row)
         generic = len(dense_rref(matrix, len(columns))[0])
         initial = _dense_multiples(
             [(r.initial, r.degree[0]) for r in relations],
-            presentation, degree, index, field.zero,
+            presentation, degree, index, field(0),
         )
         special, _ = dense_rref(initial, len(monomials))
         for vec in special:

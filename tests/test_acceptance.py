@@ -31,7 +31,6 @@ from okv.semigroups import (
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
-    gamma_from_slices,
     hilbert_counts,
     minimal_generators,
     okounkov_body_estimate,
@@ -42,6 +41,7 @@ from okv.valuation import nu_image, restricted_system
 
 from oracles import (
     fiber_check,
+    gamma_from_slices,
     generator_by_degree,
     modified_flat_key,
     oracle_lattice_points,
@@ -209,7 +209,7 @@ def test_criterion_07_full_pipeline():
     assert specialize_rees(rel, pres, QQ(1)) == rel.poly
     assert fiber_check(enriched, pres, pi, QQ(2))
     gamma = build_gamma(space, 4)
-    report = flatness_report(pres, enriched, gamma, 4)
+    report = flatness_report(pres, enriched, gamma)
     assert report.verdict and report.binomial_initial
     # negative control: claiming only the degree-one generators degenerates
     # to a nine-point degree-two slice while the ring still has ten
@@ -220,7 +220,6 @@ def test_criterion_07_full_pipeline():
         crippled,
         rees_relations(bad_kernel, crippled, bad_pi),
         gamma_from_generators([g.degree for g in crippled.generators], 2),
-        2,
     )
     assert not bad.verdict
     assert bad.rows[2].quotient_dim == 10 and bad.rows[2].semigroup_count == 9

@@ -488,6 +488,27 @@ def test_capped_power_exits_two_before_expanding(tmp_path, capsys):
     assert "expanding a power" in result[2]
 
 
+def test_capped_power_checks_each_product_before_forming_it(tmp_path, capsys):
+    # (x+y+z+w+v)^4 * (x+y+z+w+v)^8 has 70 * 495 = 34650 candidate terms
+    job = {"variables": ["x", "y", "z", "w", "v"], "sections": ["(x+y+z+w+v)^28"],
+           "cap_monomials": 20000}
+    started = time.perf_counter()
+    result = run_job_file(tmp_path, capsys, job)
+    assert_cap_exit_within(1.0, *result, started)
+    assert "expanding a power: 34650 > 20000" in result[2]
+
+
+def test_capped_product_exits_two_when_its_factors_fit(tmp_path, capsys):
+    # each factor has 1001 terms and their product 10626, but it has
+    # 1001 * 1001 candidate terms
+    job = {"variables": ["x", "y", "z", "w", "v"],
+           "sections": ["(x+y+z+w+v)^10*(x+y+z+w+v)^10"], "cap_monomials": 20000}
+    started = time.perf_counter()
+    result = run_job_file(tmp_path, capsys, job)
+    assert_cap_exit_within(1.0, *result, started)
+    assert "multiplying: 1002001 > 20000" in result[2]
+
+
 def test_capped_coordinate_change_exits_two_before_expanding(tmp_path, capsys):
     # x maps to x + y + z, and (x + y + z)^300 has 45451 terms
     job = {

@@ -367,7 +367,7 @@ def test_flatness_counterexample_full_pipeline(counterexample_space):
     report = degenerate_section_space(
         counterexample_space, 2, relation_degree=4
     )
-    assert report.relation_degree == 4
+    assert report.relations.truncation_degree == 4
     assert report.flatness.verdict
     assert report.flatness.binomial_initial
     assert all(w > 0 for w in report.generator_weights)
@@ -390,7 +390,7 @@ def test_flatness_negative_control_dropped_generator(counterexample_space):
     pi = weight_vector_for(crippled, kernel)
     enriched = rees_relations(kernel, crippled, pi)
     claimed = gamma_from_generators([g.degree for g in crippled.generators], 2)
-    report = flatness_report(crippled, enriched, claimed, 2)
+    report = flatness_report(crippled, enriched, claimed)
     assert not report.verdict
     degree_two = report.rows[2]
     assert degree_two.quotient_dim == 10

@@ -59,7 +59,7 @@ def matrices(draw):
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["zero", "duplicate", "multiple"]))
         if kind == "zero" or not rows:
-            rows.insert(draw(st.integers(0, len(rows))), [field.zero] * ncols)
+            rows.insert(draw(st.integers(0, len(rows))), [field(0)] * ncols)
         else:
             source = rows[draw(st.integers(0, len(rows) - 1))]
             scale = field(1) if kind == "duplicate" else field(draw(st.integers(2, 9)))
@@ -71,7 +71,7 @@ def full_rank(field, n):
     """An upper unitriangular n x n matrix with random entries above the diagonal."""
     rng = random.Random(n)
     return [
-        [field(1) if j == i else field(rng.randint(-4, 4)) if j > i else field.zero
+        [field(1) if j == i else field(rng.randint(-4, 4)) if j > i else field(0)
          for j in range(n)]
         for i in range(n)
     ]
@@ -121,7 +121,7 @@ def test_integer_rows_stay_exact():
 @given(matrices())
 @example((QQ, [], 0))
 @example((QQ, [], 4))
-@example((FP, [[FP.zero] * 3, [FP.zero] * 3], 3))
+@example((FP, [[FP(0)] * 3, [FP(0)] * 3], 3))
 @example((QQ, full_rank(QQ, 5), 5))
 @example((FP, full_rank(FP, 6), 6))
 def test_engine_matches_dense_oracle(case):
@@ -173,7 +173,7 @@ def test_kernel_and_flatness_match_dense_path(name, field):
     expected = dense_kernel_relations(pres, depth)
     assert [(r.poly, r.degree) for r in kernel.relations] == expected
     enriched = rees_relations(kernel, pres, weight_vector_for(pres, kernel))
-    report = flatness_report(pres, enriched, gamma, depth)
+    report = flatness_report(pres, enriched, gamma)
     rows, binomial = dense_flatness(pres, enriched.relations, gamma, depth)
     got = [(r.degree, r.quotient_dim, r.initial_quotient_dim, r.semigroup_count)
            for r in report.rows]
@@ -218,7 +218,8 @@ def scaled_first_lift(pres: Presentation) -> Presentation:
     """The same presentation with the first lift doubled: no longer a
     monomial model, so every degree is evaluated."""
     first, *rest = pres.generators
-    doubled = dataclasses.replace(first, lift=first.lift.scale(pres.field(2)))
+    two = Polynomial.constant(first.lift.variables, pres.field(2))
+    doubled = dataclasses.replace(first, lift=first.lift * two)
     return Presentation((doubled, *rest), pres.model_variables, pres.field)
 
 
@@ -267,7 +268,7 @@ def test_monomial_flatness_matches_dense_path(generators, depth, field_name):
             case, depth
         )
         enriched = rees_relations(kernel, case, weight_vector_for(case, kernel))
-        report = flatness_report(case, enriched, gamma, depth)
+        report = flatness_report(case, enriched, gamma)
         rows, binomial = dense_flatness(case, enriched.relations, gamma, depth)
         got = [(r.degree, r.quotient_dim, r.initial_quotient_dim, r.semigroup_count)
                for r in report.rows]
@@ -285,7 +286,7 @@ def test_component_flatness_reads_the_values_of_each_component():
     relations = (Relation(x1_minus_x2, (1, (0,)), initial=x1_minus_x2),)
     mixed = dataclasses.replace(kernel_ideal_truncated(pres, 2), relations=relations)
     gamma = gamma_from_generators(generators, 2)
-    report = flatness_report(pres, mixed, gamma, 2)
+    report = flatness_report(pres, mixed, gamma)
     rows, binomial = dense_flatness(pres, relations, gamma, 2)
     got = [(r.degree, r.quotient_dim, r.initial_quotient_dim, r.semigroup_count)
            for r in report.rows]

@@ -18,9 +18,9 @@ from okv.polytopes import convex_hull, in_convex_hull
 from okv.report import scalar_str, to_json
 from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
 from okv.spaces import product_space, reduce_to_basis
-from okv.valuation import nu, nu_image, nu_prefix_image
+from okv.valuation import nu, nu_image
 
-from oracles import sumset
+from oracles import nu_prefix_image, sumset
 
 VARS2 = ("x", "y")
 

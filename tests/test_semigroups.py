@@ -10,12 +10,13 @@ from okv.semigroups import (
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
-    gamma_from_slices,
     hilbert_counts,
     minimal_generators,
     okounkov_body_estimate,
     semigroup_normality_check,
 )
+
+from oracles import gamma_from_slices
 
 ELLIPTIC_GOOD = [(1, (0,)), (1, (1,)), (1, (3,))]
 

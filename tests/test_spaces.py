@@ -8,7 +8,7 @@ from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ
 from okv import spaces
 from okv.polynomials import parse_polynomial
-from okv.spaces import contains, is_subspace, product_space, reduce_mod, reduce_to_basis
+from okv.spaces import contains, is_subspace, product_space, reduce_to_basis
 
 
 def P(text, variables=("x", "y")):
@@ -16,13 +16,13 @@ def P(text, variables=("x", "y")):
 
 
 def basis_dicts(space):
-    return [p.as_dict() for p in space.basis]
+    return [dict(p.terms) for p in space.basis]
 
 
 def brute_rank(polys):
     """Independent rank oracle: naive elimination over a fixed column list."""
-    columns = sorted({e for p in polys for e in p.as_dict()})
-    rows = [[Fraction(p.as_dict().get(c, 0)) for c in columns] for p in polys]
+    columns = sorted({e for p in polys for e in dict(p.terms)})
+    rows = [[Fraction(dict(p.terms).get(c, 0)) for c in columns] for p in polys]
     rank = 0
     for col in range(len(columns)):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -39,7 +39,7 @@ def brute_rank(polys):
 
 def test_two_row_elimination():
     space = reduce_to_basis([P("x*y"), P("x*y + x^2*y^3")])
-    assert space.leading_exponents() == [(1, 1), (2, 3)]
+    assert [p.leading_exponent() for p in space.basis] == [(1, 1), (2, 3)]
     assert basis_dicts(space) == [{(1, 1): 1}, {(2, 3): 1}]
 
 
@@ -72,9 +72,9 @@ def test_dimension_matches_rank_oracle(counterexample_space):
 
 def test_full_reduction_pivot_occurs_once():
     space = reduce_to_basis([P("1 + x + y"), P("x + y^2"), P("y + x^2")])
-    pivots = space.leading_exponents()
+    pivots = [p.leading_exponent() for p in space.basis]
     for p in space.basis:
-        for e in p.as_dict():
+        for e in dict(p.terms):
             if e != p.leading_exponent():
                 assert e not in pivots
 
@@ -119,7 +119,12 @@ def test_membership_by_reduction(counterexample_space):
     assert contains(counterexample_space, P("x + 3*(y + x*y^3)"))
     assert not contains(counterexample_space, P("y"))
     # reducing y substitutes the pivot y + x*y^3 and leaves -x*y^3
-    assert reduce_mod(counterexample_space, P("y")) == P("-x*y^3")
+    assert contains(counterexample_space, P("y") - P("-x*y^3"))
+
+
+def test_membership_rejects_other_variables(counterexample_space):
+    with pytest.raises(ValidationError, match="variable mismatch in reduction"):
+        contains(counterexample_space, P("x", ("x", "z")))
 
 
 def test_subspace_check(counterexample_space):
