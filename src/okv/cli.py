@@ -62,7 +62,7 @@ def _run_nu(job: JobSpec) -> dict:
     return {
         "valuations": rows,
         "dimension": space.dimension,
-        "image": sorted(rpt.point_list(u) for u in nu_image(space)),
+        "image": sorted(nu_image(space)),
     }
 
 

@@ -78,13 +78,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_variables(other)
         acc = dict(self.terms)
-        for exp, c in other.terms:
-            s = acc.get(exp)
-            s = c if s is None else s + c
-            if s:
-                acc[exp] = s
-            else:
-                acc.pop(exp, None)
+        _add_terms(acc, other.terms)
         return Polynomial.from_dict(self.variables, acc)
 
     def __neg__(self) -> "Polynomial":
@@ -186,6 +180,18 @@ def _sign_split(c):
     return False, None if c == 1 else str(c)
 
 
+def _add_terms(acc: dict, terms) -> None:
+    """acc += terms, in place, dropping the exponents that cancel; the
+    coefficients of new exponents are kept, not copied."""
+    for exp, c in terms:
+        s = acc.get(exp)
+        s = c if s is None else s + c
+        if s:
+            acc[exp] = s
+        else:
+            del acc[exp]
+
+
 def _product(a: Polynomial, b: Polynomial, cap: int | None, doing: str) -> Polynomial:
     """a * b; with a cap, ResourceCapError before it is formed when its
     candidate terms, one per pair of terms, exceed the cap."""
@@ -248,22 +254,19 @@ class _Parser:
         return tok
 
     def expr(self) -> Polynomial:
-        negate = False
+        """A signed sum of terms, accumulated in one dict: linear in its length."""
+        total, sign = {}, "+"
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-            negate = val == "-"
-        total = self.term()
-        if negate:
-            total = -total
+            sign = val
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                total = total - rhs if val == "-" else total + rhs
-            else:
-                return total
+            term = self.term()
+            _add_terms(total, (-term if sign == "-" else term).terms)
+            kind, sign = self.peek()
+            if not (kind == "op" and sign in "+-"):
+                return Polynomial.from_dict(self.variables, total)
+            self.take()
 
     def term(self) -> Polynomial:
         total = self.factor()

@@ -8,6 +8,7 @@ bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .degeneration import (
@@ -55,7 +56,7 @@ def semigroup_dict(gamma: GradedSemigroup) -> dict:
     return {
         "dim": gamma.dim,
         "max_degree": gamma.max_degree,
-        "slices": [sorted(point_list(u) for u in s) for s in gamma.slices],
+        "slices": [sorted(s) for s in gamma.slices],
         "hilbert": hilbert_counts(gamma),
     }
 
@@ -72,7 +73,7 @@ def normality_dict(record: NormalityRecord) -> dict:
         "normal": record.normal,
         "dilation": record.dilation,
         "lattice_count": record.lattice_count,
-        "missing": sorted(point_list(u) for u in record.missing),
+        "missing": sorted(record.missing),
     }
 
 
@@ -143,46 +144,64 @@ def degeneration_dict(report: DegenerationReport) -> dict:
 
 
 def _block(value) -> bool:
-    """Whether a value renders over several lines: a dict or a nested list."""
+    """Whether a value renders over several lines: a dict, or a list or tuple
+    holding a dict, list or tuple."""
+    nested = (dict, list, tuple)
     return isinstance(value, dict) or (
-        isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
+        isinstance(value, (list, tuple)) and any(isinstance(v, nested) for v in value)
     )
 
 
 def render_text(data, indent: int = 0) -> str:
-    """Plain-text rendering of a report; a "-" line opens each block in a list."""
+    """Plain-text rendering of a report value (what `to_json` accepts); a tuple
+    renders as the list of its items, and a "-" line opens each block in a list."""
     pad = "  " * indent
     lines = []
     if isinstance(data, dict):
         for key, value in data.items():
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 lines.append(render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(data, list) and _block(data):
+    elif isinstance(data, (list, tuple)) and _block(data):
         for value in data:
             if _block(value):
                 lines += [f"{pad}-", render_text(value, indent + 1)]
             else:
                 lines.append(render_text(value, indent))
-    elif isinstance(data, list):
+    elif isinstance(data, (list, tuple)):
         lines.append(f"{pad}[{', '.join(map(str, data))}]")
     else:
         lines.append(f"{pad}{data}")
     return "\n".join(line for line in lines if line)
 
 
+def _row_width(rows) -> int:
+    """The common length of `rows`, tuples all, when it is non-zero and every
+    item of every row is an int (not a bool), else 0."""
+    lengths = set(map(len, rows))
+    if len(lengths) != 1 or set(map(type, chain.from_iterable(rows))) != {int}:
+        return 0
+    return lengths.pop()
+
 
 def to_json(value, pad: str = "\n") -> str:
     """The text `json.dumps` gives with `indent=2`, byte for byte, for the values
     a report holds: str, int, bool, None, and lists, tuples and str-keyed dicts
-    of them; anything else raises TypeError.  `pad` goes before a closing bracket."""
+    of them; anything else raises TypeError.  `pad` goes before a closing bracket.
+    A list or tuple of int tuples of one non-zero length, such as a semigroup
+    slice, is written one `%d` template per row, with the same bytes."""
     kind = type(value)
     if kind is list or kind is tuple:
         inner, ends = pad + "  ", "[]"
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        if types == {int}:
             items = map(int.__repr__, value)
+        elif types == {tuple} and (width := _row_width(value)):
+            row = inner + "  "
+            template = "[" + row + ("," + row).join(["%d"] * width) + inner + "]"
+            items = map(template.__mod__, value)
         else:
             items = [to_json(v, inner) for v in value]
     elif kind is dict:

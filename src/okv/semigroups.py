@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .echelon import subtract
 from .errors import InvariantError, ResourceCapError, ValidationError
@@ -74,7 +75,9 @@ class GradedSemigroup:
 class _Packing:
     """Value vectors with every |coordinate| <= bound as single ints: u becomes
     sum_i u_i * B^(d-1-i) with B = 2*bound + 1, balanced base-B digits.  Vector
-    addition is int addition, and lex order is int order."""
+    addition is int addition, and lex order is int order.  `pack` takes one
+    vector.  `unpack` takes a collection of packed ints (a set, dict or list,
+    read once per coordinate) and streams their vectors in its order."""
 
     def __init__(self, dim: int, bound: int):
         self.dim, self.bound, self.base = dim, bound, 2 * bound + 1
@@ -85,15 +88,25 @@ class _Packing:
             packed = packed * self.base + c
         return packed
 
-    def unpack(self, packed: int) -> tuple:
-        digits = []
-        for _ in range(self.dim):
-            c = packed % self.base
-            if c > self.bound:
-                c -= self.base
-            digits.append(c)
-            packed = (packed - c) // self.base
-        return tuple(reversed(digits))
+    def unpack(self, points):
+        if not self.dim:
+            return repeat((), len(points))
+        base, top = self.base, self.base ** (self.dim - 1)
+        # adding (B^k - 1)/2 = sum_{i<k} bound * B^i moves the k lowest digits
+        # into [0, B): with k = d - 1 the quotient by B^k is the first
+        # coordinate, and with k = d every other one is a digit, less bound
+        shift, down = ((base * top - 1) // 2).__add__, (-self.bound).__add__
+        columns = [map(top.__rfloordiv__, map(((top - 1) // 2).__add__, points))]
+        for k in range(self.dim - 2, -1, -1):
+            digits = map(shift, points)
+            if k:
+                digits = map((base**k).__rfloordiv__, digits)
+            columns.append(map(down, map(base.__rmod__, digits)))
+        return zip(*columns)
+
+    def unpack_graded(self, pairs: list):
+        """(m, vector) for each (m, packed int) of a list, streamed."""
+        return zip([m for m, _ in pairs], self.unpack([v for _, v in pairs]))
 
 
 def _degree_step(slices, gens, m: int, cap_monomials: int) -> dict:
@@ -184,21 +197,23 @@ class Subduction:
         for m in range(len(self.slices), max_degree + 1):
             self._degree(m)
         while len(self.frozen) <= max_degree:
-            self.frozen.append(frozenset(map(self.packing.unpack, self.slices[len(self.frozen)])))
-        minimal = sorted((m, self.packing.unpack(v)) for m, v in self.gens if m <= max_degree)
+            self.frozen.append(frozenset(self.packing.unpack(self.slices[len(self.frozen)])))
+        minimal = sorted(g for g in self.gens if g[0] <= max_degree)
         return GradedSemigroup(
-            self.dim, max_degree, tuple(self.frozen[: max_degree + 1]), tuple(minimal)
+            self.dim, max_degree, tuple(self.frozen[: max_degree + 1]),
+            tuple(self.packing.unpack_graded(minimal)),
         )
 
     def _repack(self, packing: _Packing) -> None:
         old, self.packing = self.packing, packing
 
-        def move(p):
-            return packing.pack(old.unpack(p))
-
-        self.gens = [(m, move(v)) for m, v in self.gens]
-        self.slices = [{move(p): mask for p, mask in s.items()} for s in self.slices]
-        self.products = {(m, move(v)): p for (m, v), p in self.products.items()}
+        self.gens = [(m, packing.pack(u)) for m, u in old.unpack_graded(self.gens)]
+        self.slices = [dict(zip(map(packing.pack, old.unpack(s)), s.values()))
+                       for s in self.slices]
+        self.products = {
+            (m, packing.pack(u)): p
+            for (m, u), p in zip(old.unpack_graded([*self.products]), self.products.values())
+        }
 
     def _charge(self, extra: int) -> None:
         if self.terms + extra > self.cap:
@@ -317,11 +332,12 @@ def gamma_from_generators(
         slices.append(_degree_step(slices, packed, m, cap_monomials))
         lower = sum(1 << i for i, (gm, _) in enumerate(packed) if gm < m)
         minimal += [(m, p) for p, mask in slices[m].items() if not mask & lower]
+    minimal.sort()
     return GradedSemigroup(
         dim,
         max_degree,
-        tuple(frozenset(map(packing.unpack, s)) for s in slices),
-        tuple((m, packing.unpack(p)) for m, p in sorted(minimal)),
+        tuple(frozenset(packing.unpack(s)) for s in slices),
+        tuple(packing.unpack_graded(minimal)),
     )
 
 

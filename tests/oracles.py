@@ -78,6 +78,19 @@ def sumset(a, b) -> set:
     return {tuple(x + y for x, y in zip(u, v)) for u in a for v in b}
 
 
+def oracle_unpack(packed: int, dim: int, bound: int) -> tuple:
+    """The vector u with every |u_i| <= bound and sum_i u_i * B^(dim-1-i) =
+    packed, B = 2*bound + 1: balanced digits peeled off one at a time, the
+    last coordinate first."""
+    base, digits = 2 * bound + 1, []
+    for _ in range(dim):
+        digit = (packed + bound) % base - bound
+        digits.append(digit)
+        packed = (packed - digit) // base
+    assert packed == 0, "point out of range for its packing"
+    return tuple(reversed(digits))
+
+
 def oracle_minimal_generators(slices):
     """Sumset minimal generators (the path okv used before its membership
     test): a point is a generator iff it is not a sum of two lower-degree

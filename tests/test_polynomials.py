@@ -1,5 +1,7 @@
 """Polynomial arithmetic, parsing, and printing."""
 
+import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -98,6 +100,28 @@ def test_print_parse_roundtrip():
     for text in samples:
         p = P(text)
         assert P(str(p)) == p
+
+
+def test_a_long_explicit_sum_parses_in_linear_time():
+    n = 4000
+    text = " + ".join(f"x^{i}*y" for i in range(n))
+    start = time.perf_counter()
+    p = P(text)
+    assert time.perf_counter() - start < 1
+    assert p == Polynomial.from_dict(("x", "y"), {(i, 1): Fraction(1) for i in range(n)})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_a_signed_sum_equals_its_terms_added_one_at_a_time(field):
+    rng = random.Random(23)
+    terms = [(rng.choice("+-"), f"{rng.randint(1, 9)}*x^{rng.randint(0, 6)}*y^{rng.randint(0, 2)}")
+             for _ in range(200)]
+    text = "".join(f" {sign} {term}" for sign, term in terms)
+    expected = P("0", ("x", "y"), field)
+    for sign, term in terms:
+        p = P(term, ("x", "y"), field)
+        expected = expected + p if sign == "+" else expected - p
+    assert P(text, ("x", "y"), field) == expected
 
 
 def test_prime_field_coefficients():

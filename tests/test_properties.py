@@ -15,12 +15,12 @@ from okv.cli import run
 from okv.jobs import load_fixture
 from okv.polynomials import Polynomial, parse_polynomial
 from okv.polytopes import convex_hull, in_convex_hull
-from okv.report import scalar_str, to_json
-from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
+from okv.report import render_text, scalar_str, to_json
+from okv.semigroups import _Packing, build_gamma, gamma_from_generators, okounkov_body_estimate
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu, nu_image
 
-from oracles import nu_prefix_image, sumset
+from oracles import nu_prefix_image, oracle_unpack, sumset
 
 VARS2 = ("x", "y")
 
@@ -161,16 +161,71 @@ def test_scalar_string_round_trip():
         assert Fraction(scalar_str(q)) == q
 
 
+@st.composite
+def packed_vectors(draw):
+    """(dim, bound, vectors) with dim in 0..4, bound in 1..50 and every
+    coordinate in [-bound, bound], the extremes drawn often."""
+    dim, bound = draw(st.integers(0, 4)), draw(st.integers(1, 50))
+    coordinate = st.integers(-bound, bound) | st.sampled_from([-bound, bound])
+    return dim, bound, draw(st.lists(st.tuples(*[coordinate] * dim), max_size=8))
+
+
+@given(packed_vectors())
+def test_packing_unpack_matches_a_scalar_decoder(case):
+    dim, bound, vectors = case
+    packing = _Packing(dim, bound)
+    packed = [packing.pack(u) for u in vectors]
+    assert [oracle_unpack(p, dim, bound) for p in packed] == vectors
+    assert list(packing.unpack(packed)) == vectors
+    assert frozenset(packing.unpack(set(packed))) == frozenset(vectors)
+    keys = dict.fromkeys(packed)
+    assert dict(zip(packing.unpack(keys), keys)) == dict(zip(vectors, packed))
+
+
 # Report leaves: big and negative ints, the three literals, and strings that
 # need escaping (quotes, backslashes, control and non-ASCII characters, lone
 # surrogates).
+big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64 + 1, -(2**64)])
 report_leaves = (
-    st.integers(-(2**70), 2**70)
-    | st.sampled_from([True, False, None, 2**64 + 1, -(2**64)])
+    big_ints
+    | st.sampled_from([True, False, None])
     | st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x7fé\U0001f600\ud800'))
 )
+
+
+def _list_or_tuple(rows):
+    return rows | rows.map(tuple)
+
+
+# Lists of int tuples of one non-zero length, the shape of a semigroup slice,
+# which `to_json` writes one row template per item.
+int_rows = _list_or_tuple(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[big_ints] * n), min_size=1, max_size=5)
+))
+
+
+@st.composite
+def int_row_near_misses(draw):
+    """Int rows spoilt so that they must take the general path: a bool in one
+    row, one row longer than the rest, or every row empty."""
+    rows = draw(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[big_ints] * n), min_size=2, max_size=5)
+    ))
+    i = draw(st.integers(0, len(rows) - 1))
+    spoil = draw(st.sampled_from(["bool", "ragged", "empty"]))
+    if spoil == "bool":
+        row = list(rows[i])
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.booleans())
+        rows[i] = tuple(row)
+    elif spoil == "ragged":
+        rows[i] += (draw(big_ints),)
+    else:
+        rows = [()] * len(rows)
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
 report_values = st.recursive(
-    report_leaves,
+    report_leaves | int_rows | int_row_near_misses(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -181,6 +236,19 @@ report_values = st.recursive(
 @given(report_values)
 def test_to_json_matches_json_dumps_indent_2(value):
     assert to_json(value) == json.dumps(value, indent=2)
+
+
+def _as_lists(value):
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    return value
+
+
+@given(st.dictionaries(st.text(max_size=4), report_values, max_size=4))
+def test_render_text_treats_a_tuple_as_a_list(report):
+    assert render_text(report) == render_text(_as_lists(report))
 
 
 @pytest.mark.parametrize(
