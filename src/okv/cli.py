@@ -96,8 +96,8 @@ def _run_degenerate(job: JobSpec) -> dict:
             job.generator_points(),
             job.max_degree,
             job.relation_degree,
-            matrix_cap=job.cap_matrix,
             cap_monomials=job.cap_monomials,
+            matrix_cap=job.cap_matrix,
         )
     else:
         report = degenerate_section_space(

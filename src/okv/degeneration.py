@@ -574,6 +574,7 @@ def degenerate_section_space(
     space: SectionSpace,
     max_degree: int,
     relation_degree: int | None = None,
+    *,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
@@ -589,8 +590,9 @@ def degenerate_semigroup(
     generators,
     max_degree: int,
     relation_degree: int | None = None,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    *,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> DegenerationReport:
     """Full pipeline for an abstract finitely generated value semigroup."""
     presentation = presentation_from_generators(generators)

@@ -12,8 +12,10 @@ horizon ridges to it.  Each boundary hyperplane is taken orthogonal to the
 equality normals, so coplanar simplices merge into one facet by their
 primitive halfspace, and a point is a vertex when its tight facet normals
 span the affine hull's directions.  Both representations are
-cross-validated on construction.  Faces on coordinate hyperplanes are read
-off the vertices.  Lattice points are scanned with integer arithmetic only.
+cross-validated on construction.  Membership in the hull of a point set is
+read off the halfspaces of that hull; no linear program is solved.  Faces
+on coordinate hyperplanes are read off the vertices.  Lattice points are
+scanned with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -65,75 +67,6 @@ def _dot(a, b):
 def empty_polytope(ambient_dim: int) -> RationalPolytope:
     infeasible = ((0,) * ambient_dim, Fraction(-1))
     return RationalPolytope(ambient_dim, (), (infeasible,), -1)
-
-
-# ---------------------------------------------------------------------------
-# Exact linear programming: convex-combination feasibility.
-
-def in_convex_hull(point, points) -> bool:
-    """Exact test for membership of `point` in the hull of `points`."""
-    points = [tuple(Fraction(c) for c in q) for q in points]
-    point = tuple(Fraction(c) for c in point)
-    if not points:
-        return False
-    dim = len(point)
-    rows = [[q[i] for q in points] for i in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = list(point) + [Fraction(1)]
-    return _phase_one_feasible(rows, rhs)
-
-
-def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Feasibility of {A x = b, x >= 0} by phase-one simplex with Bland's rule."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = []
-    b = []
-    for i in range(m):
-        row = list(rows[i])
-        bi = rhs[i]
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        tableau.append(row + [Fraction(0)] * m)
-        tableau[i][n + i] = Fraction(1)
-        b.append(bi)
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the sum of artificial variables
-    cost = [Fraction(0)] * (n + m)
-    for j in range(n):
-        cost[j] = -sum(tableau[i][j] for i in range(m))
-    while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = b[i] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            raise InvariantError("unbounded phase-one objective")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        b[leaving] = b[leaving] / pivot
-        for i in range(m):
-            if i != leaving and tableau[i][entering]:
-                f = tableau[i][entering]
-                tableau[i] = [a - f * c for a, c in zip(tableau[i], tableau[leaving])]
-                b[i] -= f * b[leaving]
-        if cost[entering]:
-            f = cost[entering]
-            cost = [a - f * c for a, c in zip(cost, tableau[leaving])]
-        basis[leaving] = entering
-    residual = sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0))
-    return residual == 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +191,13 @@ def convex_hull(points) -> RationalPolytope:
     poly = RationalPolytope(ambient_dim, vertices, tuple(sorted(halfspaces)), k)
     _validate(poly)
     return poly
+
+
+def in_convex_hull(point, points) -> bool:
+    """Exact membership of `point` in the hull of `points`, read off the
+    halfspaces of `convex_hull`; False when there are no points."""
+    points = list(points)
+    return bool(points) and convex_hull(points).contains(point)
 
 
 def _validate(poly: RationalPolytope) -> None:

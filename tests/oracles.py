@@ -47,15 +47,20 @@ def solve_exact(matrix, rhs):
 
 
 def oracle_in_hull(point, points):
-    """Caratheodory brute force over all (dim+1)-point subsets."""
+    """Caratheodory brute force over all subsets of at most dim+1 points.
+
+    A hull point is a convex combination of affinely independent points,
+    which have unique weights; subsets smaller than dim+1 are needed when
+    the points are affinely dependent (collinear, coplanar in 3-D,
+    duplicated)."""
     dim = len(point)
-    size = min(dim + 1, len(points))
-    for subset in itertools.combinations(points, size):
-        matrix = [[Fraction(q[i]) for q in subset] for i in range(dim)]
-        matrix.append([Fraction(1)] * len(subset))
-        sol = solve_exact(matrix, list(point) + [1])
-        if sol is not None and all(c >= 0 for c in sol):
-            return True
+    for size in range(1, min(dim + 1, len(points)) + 1):
+        for subset in itertools.combinations(points, size):
+            matrix = [[Fraction(q[i]) for q in subset] for i in range(dim)]
+            matrix.append([Fraction(1)] * len(subset))
+            sol = solve_exact(matrix, list(point) + [1])
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
     return False
 
 

@@ -1,6 +1,7 @@
 """Weight vectors, presentations, kernel ideals, Rees families, flatness."""
 
 import dataclasses
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -352,6 +353,17 @@ def test_fiber_check_true_and_negative_control(counterexample_space):
 
 # ---------------------------------------------------------------------------
 # Flatness.
+
+def test_pipeline_caps_are_keyword_only_in_one_order(bott_samelson_space):
+    for pipeline in (degenerate_section_space, degenerate_semigroup):
+        params = inspect.signature(pipeline).parameters
+        caps = [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY]
+        assert caps == ["cap_monomials", "matrix_cap"]
+    with pytest.raises(TypeError):
+        degenerate_semigroup(ELLIPTIC_GOOD, 3, 3, 10**6)
+    with pytest.raises(TypeError):
+        degenerate_section_space(bott_samelson_space, 2, 4, 10**6)
+
 
 def test_flatness_elliptic_good():
     report = degenerate_semigroup(ELLIPTIC_GOOD, 3, relation_degree=3)

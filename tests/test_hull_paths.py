@@ -3,8 +3,8 @@
 The body is built from normalized minimal generators and the hull by one
 beneath-beyond pass in ambient coordinates; both are compared here with
 slower references: the hull of every normalized slice point, the span-and-lift
-hull okv used before (`span_lift_hull`), the library's own LP membership
-test `in_convex_hull`, and the brute-force oracles of tests/oracles.py.
+hull okv used before (`span_lift_hull`), and the Caratheodory brute-force
+oracles of tests/oracles.py for vertices, membership and lattice points.
 Faces read off the vertices are compared with the halfspace slice.
 """
 
@@ -22,7 +22,6 @@ from okv.polytopes import (
     _validate,
     convex_hull,
     face_restriction,
-    in_convex_hull,
     lattice_points,
     polytope_from_halfspaces,
 )
@@ -110,7 +109,7 @@ def test_hull_vertices_and_membership_match_oracles(dim):
         distinct = sorted(set(points))
         hull = convex_hull(points)
         extreme = {
-            p for p in distinct if not in_convex_hull(p, [q for q in distinct if q != p])
+            p for p in distinct if not oracle_in_hull(p, [q for q in distinct if q != p])
         }
         assert set(hull.vertices) == extreme
         for _ in range(6):

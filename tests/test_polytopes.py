@@ -18,6 +18,8 @@ from okv.polytopes import (
     polytopes_equal,
 )
 
+from oracles import oracle_in_hull
+
 BOTT_SAMELSON_POINTS = [
     (0, 0, 0),
     (1, 0, 0),
@@ -30,50 +32,6 @@ BOTT_SAMELSON_POINTS = [
 ]
 
 TRAPEZOID = [(0, 0), (0, 1), (3, 1), (1, 0)]
-
-
-def solve_exact(matrix, rhs):
-    """Tiny independent Gaussian solver used only as a test oracle."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    col = 0
-    row = 0
-    pivots = []
-    while row < n and col < len(matrix[0]):
-        pivot = next((i for i in range(row, n) if aug[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        aug[row] = [v / aug[row][col] for v in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        col += 1
-    for i in range(row, n):
-        if aug[i][-1]:
-            return None
-    if len(pivots) < len(matrix[0]):
-        return None
-    x = [Fraction(0)] * len(matrix[0])
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][-1]
-    return x
-
-
-def oracle_in_hull(point, points):
-    """Caratheodory brute force: check hulls of all (dim+1)-subsets."""
-    dim = len(point)
-    for subset in itertools.combinations(points, min(dim + 1, len(points))):
-        matrix = [[Fraction(q[i]) for q in subset] for i in range(dim)]
-        matrix.append([Fraction(1)] * len(subset))
-        sol = solve_exact(matrix, list(point) + [1])
-        if sol is not None and all(c >= 0 for c in sol):
-            return True
-    return False
 
 
 def test_hull_of_unit_square_is_itself():
@@ -192,6 +150,45 @@ def test_hull_rejects_empty_and_mixed():
         convex_hull([(0, 0), (1,)])
 
 
+def test_oracle_membership_on_affinely_dependent_points():
+    collinear = [(0, 0), (2, 2), (4, 4)]
+    assert oracle_in_hull((1, 1), collinear)
+    assert oracle_in_hull((4, 4), collinear)
+    assert not oracle_in_hull((5, 5), collinear)
+    assert not oracle_in_hull((1, 2), collinear)
+    planar = [(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1), (1, 1, 1)]
+    assert oracle_in_hull((1, Fraction(3, 2), 1), planar)
+    assert oracle_in_hull((2, 2, 1), planar)
+    assert not oracle_in_hull((1, 1, 0), planar)
+    assert not oracle_in_hull((3, 0, 1), planar)
+    assert oracle_in_hull((0, 0), [(0, 0), (0, 0)])
+    assert not oracle_in_hull((0, 0), [])
+
+
+def test_in_convex_hull_matches_oracle():
+    rng = random.Random(3)
+    point_sets = (TRAPEZOID, BOTT_SAMELSON_POINTS, [(0, 0), (2, 2), (4, 4)],
+                  [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1)], [(1, 2)])
+    for points in point_sets:
+        dim = len(points[0])
+        for _ in range(40):
+            p = tuple(Fraction(rng.randint(-2, 8), rng.randint(1, 2)) for _ in range(dim))
+            assert in_convex_hull(p, points) == oracle_in_hull(p, points)
+        for p in points:
+            assert in_convex_hull(p, points)
+    assert not in_convex_hull((0, 0), [])
+    assert not in_convex_hull((), [])
+
+
+def test_in_convex_hull_rejects_mismatched_dimensions():
+    with pytest.raises(ValidationError):
+        in_convex_hull((0,), [(0, 0), (1, 1)])
+    with pytest.raises(ValidationError):
+        in_convex_hull((0,), [(0, 0), (1,)])
+    with pytest.raises(ValidationError):
+        in_convex_hull((0, 0, 0), [(0, 0), (1, 1)])
+
+
 def test_cross_validation_hrep_vrep_random():
     rng = random.Random(11)
     for points in (TRAPEZOID, BOTT_SAMELSON_POINTS):
@@ -199,7 +196,7 @@ def test_cross_validation_hrep_vrep_random():
         dim = hull.ambient_dim
         for _ in range(200):
             p = tuple(Fraction(rng.randint(-6, 12), rng.randint(1, 4)) for _ in range(dim))
-            assert hull.contains(p) == in_convex_hull(p, points)
+            assert hull.contains(p) == oracle_in_hull(p, points)
 
 
 def test_four_dimensional_hypercube_with_interior_points():
