@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from operator import add
 
-from .errors import InvariantError, ResourceCapError, ValidationError
+from .errors import (DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, InvariantError,
+                     ValidationError, check_cap)
 from . import echelon
 from .fields import QQ
 from .polynomials import Polynomial, polynomial_field
@@ -40,13 +41,13 @@ from .semigroups import (
     minimal_generators,
     okounkov_body_estimate,
 )
-from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, is_subspace
+from .spaces import SectionSpace, is_subspace
 from .valuation import restricted_system
 from .polytopes import RationalPolytope, face_restriction, polytopes_equal
 
-DEFAULT_MATRIX_CAP = 500_000
-
 REES_PARAMETER = "t"
+_REDUCING_CAP = "matrix cap exceeded reducing degree-%d relations"
+_DEGREE_CAP = "matrix cap exceeded in degree %d"
 
 
 @dataclass(frozen=True)
@@ -267,11 +268,6 @@ class _Evaluator:
         return self.cache[a]
 
 
-def _check_cap(rows: int, cols: int, cap: int, where: str) -> None:
-    if rows * cols > cap:
-        raise ResourceCapError(f"matrix cap exceeded {where}: {rows}x{cols} > {cap}")
-
-
 def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple]:
     """(i, b) for every label monomial b lifting relations[i] to the degree."""
     return [
@@ -364,28 +360,28 @@ def kernel_ideal_truncated(
         # b + lead: multiples with distinct pivots are independent kernel
         # elements, a lower bound on the kernel dimension known in advance.
         least = len({tuple(map(add, leads[i], b)) for i, b in multiples})
-        where = f"reducing degree-{degree} relations"
-        _check_cap(len(multiples) + least, len(monomials), matrix_cap, where)
+        check_cap((len(multiples) + least, len(monomials)), matrix_cap, _REDUCING_CAP, degree)
         if monomial:  # {f: q} for the basis e_f - e_q, q the last of f's fibre (a column)
             last = list(range(len(values)))
             for j in range(len(values) - 2, -1, -1):
                 if values[j] == values[j + 1]:
                     last[j] = last[j + 1]
             kernel = {f: q for f, q in enumerate(last) if f != q}
-            _check_cap(len(monomials), len(last) - len(kernel), matrix_cap, f"in degree {degree}")
-            echelon.check_basis_cap(len(kernel), len(monomials), matrix_cap)
+            check_cap((len(monomials), len(last) - len(kernel)), matrix_cap, _DEGREE_CAP, degree)
+            check_cap((len(kernel), len(monomials)), matrix_cap, echelon.BASIS_CAP)
         else:
             columns: dict = {}
             for j, a in enumerate(monomials):
                 for exp, c in evaluate(a).terms:
                     columns.setdefault(exp, {})[j] = c
-            _check_cap(len(monomials), len(columns), matrix_cap, f"in degree {degree}")
+            check_cap((len(monomials), len(columns)), matrix_cap, _DEGREE_CAP, degree)
             if degree == relation_degree:
                 evaluate = None  # no later degree reads the evaluations
             basis = echelon.nullspace(columns.values(), len(monomials), one, max_cells=matrix_cap)
             kernel = {min(vec): vec for vec in basis}
         kernel_dims.append(len(kernel))
-        _check_cap(len(multiples) + len(kernel), len(monomials), matrix_cap, where)
+        check_cap((len(multiples) + len(kernel), len(monomials)), matrix_cap, _REDUCING_CAP,
+                  degree)
         roots = _component_roots(mon_index, ends, multiples)
         if roots is not None:
             old = {j for j, r in enumerate(roots) if r != j}  # the pivots of O_d
@@ -499,7 +495,8 @@ def flatness_report(
     for degree in range(0, depth + 1):
         monomials, mon_index, values = presentation.degree_monomials(degree)
         multiples = _multiples(relation_set.relations, presentation, degree)
-        _check_cap(len(multiples), len(monomials), matrix_cap, "in the flatness check")
+        check_cap((len(multiples), len(monomials)), matrix_cap,
+                  "matrix cap exceeded in the flatness check")
         roots = _component_roots(mon_index, ends, multiples)
         if roots is None:
             special = echelon.Echelon()
@@ -617,6 +614,7 @@ def subsystem_compatibility(
     space: SectionSpace,
     max_degree: int,
     relation_degree: int | None = None,
+    *,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> CompatibilityRecord:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ResourceCapError
+from .errors import check_cap
 
 
 def subtract(row: dict, factor, other) -> None:
@@ -70,10 +70,7 @@ class Echelon:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def check_basis_cap(dim: int, ncols: int, max_cells: int) -> None:
-    """Raise unless a kernel basis of `dim` vectors of width `ncols` fits the cap."""
-    if dim * ncols > max_cells:
-        raise ResourceCapError(f"kernel basis too large: {dim}x{ncols} > {max_cells}")
+BASIS_CAP = "kernel basis too large"  # capped in cells: dimension x width
 
 
 def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = None) -> list:
@@ -89,8 +86,7 @@ def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = Non
     for row in rows:
         reversed_form.insert({-j: c for j, c in row.items()})
     free = [j for j in range(ncols) if -j not in reversed_form.rows]
-    if max_cells is not None:
-        check_basis_cap(len(free), ncols, max_cells)
+    check_cap((len(free), ncols), max_cells, BASIS_CAP)
     basis = {f: {f: one} for f in free}
     for p, row in reversed_form.rows.items():
         for k, c in row.items():

@@ -2,7 +2,11 @@
 
 Each class carries, or inherits, its CLI exit code and the label of its stderr
 line (`error: <label>: <message>`); the CLI reads both off the class it catches.
+The resource caps' defaults and their one rule, `check_cap`, live here too.
 """
+
+DEFAULT_MONOMIAL_CAP = 2_000_000
+DEFAULT_MATRIX_CAP = 500_000
 
 
 class OkvError(Exception):
@@ -25,6 +29,16 @@ class ResourceCapError(OkvError):
 
     exit_code = 2
     label = "resource-cap"
+
+
+def check_cap(used, cap, what: str, *args) -> None:
+    """The one cap rule, checked before the work `used` measures: ResourceCapError
+    "<what % args>: <used> > <cap>" if `used` (a count, or a (rows, cols) shape of
+    rows*cols cells shown as RxC) exceeds `cap`, which None leaves unbounded."""
+    shape = isinstance(used, tuple)
+    if cap is not None and (used[0] * used[1] if shape else used) > cap:
+        shown = "%dx%d" % used if shape else used
+        raise ResourceCapError(f"{what % args}: {shown} > {cap}")
 
 
 class InvariantError(OkvError):

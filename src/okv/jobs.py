@@ -6,11 +6,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .echelon import Echelon
-from .errors import ValidationError
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, ValidationError
 from .fields import QQ, PrimeField
 from .polynomials import Polynomial, parse_polynomial
-from .degeneration import DEFAULT_MATRIX_CAP
-from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace, reduce_to_basis
+from .spaces import SectionSpace, reduce_to_basis
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError, check_cap
 from .fields import QQ, field_of
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -195,9 +195,7 @@ def _add_terms(acc: dict, terms) -> None:
 def _product(a: Polynomial, b: Polynomial, cap: int | None, doing: str) -> Polynomial:
     """a * b; with a cap, ResourceCapError before it is formed when its
     candidate terms, one per pair of terms, exceed the cap."""
-    candidates = len(a.terms) * len(b.terms)
-    if cap is not None and candidates > cap:
-        raise ResourceCapError(f"monomial cap exceeded {doing}: {candidates} > {cap}")
+    check_cap(len(a.terms) * len(b.terms), cap, "monomial cap exceeded %s", doing)
     return a * b
 
 
@@ -230,7 +228,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-# Deepest nesting of parentheses and unary signs; a level costs up to four frames.
+# Deepest nesting of parentheses and unary signs; a level costs up to five frames.
 MAX_NESTING = 100
 
 
@@ -254,12 +252,8 @@ class _Parser:
         return tok
 
     def expr(self) -> Polynomial:
-        """A signed sum of terms, accumulated in one dict: linear in its length."""
+        """A sum of terms, accumulated in one dict: linear in its length."""
         total, sign = {}, "+"
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = val
         while True:
             term = self.term()
             _add_terms(total, (-term if sign == "-" else term).terms)
@@ -279,6 +273,12 @@ class _Parser:
                 return total
 
     def factor(self) -> Polynomial:
+        """A signed factor or a power of an atom: -x^2 is -(x^2) wherever it stands."""
+        kind, val = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            signed = self.nested(self.factor)
+            return -signed if val == "-" else signed
         base = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -316,8 +316,6 @@ class _Parser:
             if not (kind == "op" and val == ")"):
                 raise ValidationError("unbalanced parentheses")
             return inner
-        if kind == "op" and val == "-":
-            return -self.nested(self.atom)
         raise ValidationError(f"malformed polynomial at {val!r}")
 
     def nested(self, parse) -> Polynomial:

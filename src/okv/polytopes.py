@@ -27,9 +27,8 @@ from functools import reduce
 from math import ceil, floor, gcd, lcm, prod
 from operator import mul
 
-from .errors import InvariantError, ResourceCapError, ValidationError
+from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
 from . import linalg
-from .spaces import DEFAULT_MONOMIAL_CAP
 
 Point = tuple  # tuple[Fraction, ...]
 Halfspace = tuple  # (normal: tuple[int, ...], offset: Fraction), meaning <n, x> <= c
@@ -279,10 +278,7 @@ def _lattice_runs(poly: RationalPolytope, dilation: int, cap_monomials: int):
     lo = [ceil(min(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     hi = [floor(max(v[i] for v in poly.vertices) * dilation) for i in range(d)]
     box = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
-    if box > cap_monomials:
-        raise ResourceCapError(
-            f"monomial cap exceeded by the lattice scan box: {box} > {cap_monomials}"
-        )
+    check_cap(box, cap_monomials, "monomial cap exceeded by the lattice scan box")
     for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
         low, high = lo[-1], hi[-1]
         for n, b in bounds:

@@ -17,7 +17,6 @@ from .degeneration import (
     RelationSet,
     WeightVector,
 )
-from .fields import FpElement
 from .polytopes import RationalPolytope
 from .semigroups import GenerationReport, GradedSemigroup, NormalityRecord, hilbert_counts
 from .valuation import SaturationRecord
@@ -26,8 +25,6 @@ from .valuation import SaturationRecord
 def scalar_str(value) -> str:
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, FpElement):
-        return str(value.value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

@@ -40,13 +40,14 @@ from fractions import Fraction
 from itertools import repeat
 
 from .echelon import subtract
-from .errors import InvariantError, ResourceCapError, ValidationError
+from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
 from .polynomials import Polynomial, polynomial_field
 from .polytopes import RationalPolytope, convex_hull, lattice_points
-from .spaces import DEFAULT_MONOMIAL_CAP, SectionSpace
+from .spaces import SectionSpace
 from .valuation import nu, nu_image
 
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
+_SUBDUCTION_CAP = "monomial cap exceeded in subduction"
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,8 @@ def _degree_step(slices, gens, m: int, cap_monomials: int) -> dict:
     will ever be.  A generator of degree m added after this step reaches only
     its own value (the degree-0 slice is the origin), and none of higher
     degree reaches degree m.  Fibre components and minimality rest on this."""
-    candidates = sum(len(slices[m - gm]) for gm, _ in gens if gm <= m)
-    if candidates > cap_monomials:
-        raise ResourceCapError(f"monomial cap exceeded closing generators in degree "
-                               f"{m}: {candidates} > {cap_monomials}")
+    check_cap(sum(len(slices[m - gm]) for gm, _ in gens if gm <= m), cap_monomials,
+              "monomial cap exceeded closing generators in degree %d", m)
     reached: dict = {}
     for i, (gm, gu) in enumerate(gens):
         if gm <= m:
@@ -215,17 +214,13 @@ class Subduction:
             for (m, u), p in zip(old.unpack_graded([*self.products]), self.products.values())
         }
 
-    def _charge(self, extra: int) -> None:
-        if self.terms + extra > self.cap:
-            raise ResourceCapError(f"monomial cap exceeded in subduction: "
-                                   f"{self.terms + extra} > {self.cap}")
-
     def _times(self, i: int, m: int, v: int) -> Polynomial:
         """Generator i times the memoised product of degree m - deg g_i and
         value v - val g_i."""
         gm, gv = self.gens[i]
         rest = self._product(m - gm, v - gv)
-        self._charge(len(self.polys[i].terms) * len(rest.terms))
+        used = self.terms + len(self.polys[i].terms) * len(rest.terms)
+        check_cap(used, self.cap, _SUBDUCTION_CAP)
         return self.polys[i] * rest
 
     def _product(self, m: int, v: int) -> Polynomial:
@@ -259,7 +254,7 @@ class Subduction:
         """Cancel the term of f at exponent e (packed value v, in the slice of
         degree m) by the memoised product of value v: only exponents > e change."""
         product = self._product(m, v)
-        self._charge(len(f) + len(product.terms))
+        check_cap(self.terms + len(f) + len(product.terms), self.cap, _SUBDUCTION_CAP)
         subtract(f, f[e], product.terms)
 
     def _subduct(self, m: int, f: dict) -> None:

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .echelon import Echelon
-from .errors import ResourceCapError, ValidationError
+from .errors import DEFAULT_MONOMIAL_CAP, ValidationError, check_cap
 from .polynomials import Polynomial
-
-DEFAULT_MONOMIAL_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,7 @@ def reduce_to_basis(
     form = Echelon()
     for p in spanning:
         form.insert(dict(p.terms))
-        if form.terms > cap_monomials:
-            raise ResourceCapError(
-                f"monomial cap exceeded while reducing: {form.terms} > {cap_monomials}"
-            )
+        check_cap(form.terms, cap_monomials, "monomial cap exceeded while reducing")
     basis = tuple(Polynomial.from_dict(varlist, row) for row in form.sorted_rows())
     return SectionSpace(varlist, basis)
 
@@ -74,15 +69,12 @@ def product_space(
     b: SectionSpace,
     cap_monomials: int = DEFAULT_MONOMIAL_CAP,
 ) -> SectionSpace:
-    """Reduced basis of the span of all pairwise products."""
+    """Reduced basis of the span of all pairwise products, capped before any is formed."""
     if a.variables != b.variables:
         raise ValidationError("variable mismatch between section spaces")
+    candidates = sum(len(p.terms) for p in a.basis) * sum(len(q.terms) for q in b.basis)
+    check_cap(candidates, cap_monomials, "monomial cap exceeded in product space")
     products = [p * q for p in a.basis for q in b.basis]
-    total = sum(len(p.terms) for p in products)
-    if total > cap_monomials:
-        raise ResourceCapError(
-            f"monomial cap exceeded in product space: {total} > {cap_monomials}"
-        )
     return reduce_to_basis(products, variables=a.variables, cap_monomials=cap_monomials)
 
 

@@ -360,6 +360,13 @@ def assert_validation_exit(code, out, err):
     assert any(line.startswith("error: validation:") for line in err.splitlines())
 
 
+def test_section_that_cancels_after_a_sign_exits_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": ["x^2 + -x^2", "x"], "max_degree": 1}
+    code, out, err = run_job_file(tmp_path, capsys, job)
+    assert_validation_exit(code, out, err)
+    assert "section 'x^2 + -x^2' is zero" in err
+
+
 def test_string_max_degree_exits_one(tmp_path, capsys):
     job = {"variables": ["x"], "sections": ["x"], "max_degree": "abc"}
     assert_validation_exit(*run_job_file(tmp_path, capsys, job))

@@ -355,7 +355,7 @@ def test_fiber_check_true_and_negative_control(counterexample_space):
 # Flatness.
 
 def test_pipeline_caps_are_keyword_only_in_one_order(bott_samelson_space):
-    for pipeline in (degenerate_section_space, degenerate_semigroup):
+    for pipeline in (degenerate_section_space, degenerate_semigroup, subsystem_compatibility):
         params = inspect.signature(pipeline).parameters
         caps = [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY]
         assert caps == ["cap_monomials", "matrix_cap"]

@@ -6,10 +6,12 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ, FpElement, PrimeField, _is_prime
-from okv.polynomials import Polynomial, parse_polynomial
+from okv.polynomials import MAX_NESTING, Polynomial, parse_polynomial
 
 
 def P(text, variables=("x", "y"), field=QQ):
@@ -41,6 +43,9 @@ def test_parse_malformed():
         P("x + + * y")
     with pytest.raises(ValidationError):
         P("(x + y")
+    for text in ("x $ y", "1.5*x"):
+        with pytest.raises(ValidationError, match="malformed polynomial near"):
+            P(text)
 
 
 def test_parse_rational_literal_and_parentheses():
@@ -54,6 +59,57 @@ def test_parse_rational_literal_and_parentheses():
 
 def test_parse_unary_minus():
     assert P("-x + y") == P("y - x")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0 + -x^2", {(2, 0): -1}),
+    ("2*-x^2", {(2, 0): -2}),
+    ("x - -x^2", {(1, 0): 1, (2, 0): 1}),
+    ("-x^2", {(2, 0): -1}),
+    ("(-x)^2", {(2, 0): 1}),
+    ("--x", {(1, 0): 1}),
+])
+def test_a_sign_binds_looser_than_a_power_wherever_it_stands(text, expected):
+    assert dict(P(text).terms) == expected
+
+
+def test_signs_count_toward_the_nesting_limit():
+    assert P("-" * MAX_NESTING + "x") == P("x")
+    with pytest.raises(ValidationError, match="nested more than"):
+        P("-" * (MAX_NESTING + 1) + "x")
+
+
+def _expressions():
+    """(okv text, the same expression in Python) over x, y, rational literals,
+    +, -, *, signs, parentheses and ^ with a literal exponent."""
+    atoms = st.one_of(
+        st.sampled_from([("x", "x"), ("y", "y")]),
+        st.integers(0, 5).map(lambda n: (str(n), f"Fraction({n})")),
+        st.tuples(st.integers(0, 5), st.integers(1, 4)).map(
+            lambda t: (f"{t[0]}/{t[1]}", f"Fraction({t[0]}, {t[1]})")),
+    )
+
+    def extend(inner):
+        grouped = inner.map(lambda e: (f"({e[0]})", f"({e[1]})"))
+        return st.one_of(
+            grouped,
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: (f"{t[0][0]} {t[1]} {t[2][0]}", f"{t[0][1]} {t[1]} {t[2][1]}")),
+            st.tuples(st.sampled_from("+-"), inner).map(
+                lambda t: (t[0] + t[1][0], t[0] + t[1][1])),
+            st.tuples(st.one_of(atoms, grouped), st.integers(0, 3)).map(
+                lambda t: (f"{t[0][0]}^{t[1]}", f"{t[0][1]}**{t[1]}")),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), st.fractions(max_denominator=7), st.fractions(max_denominator=7))
+def test_parse_agrees_with_python_precedence(expression, x, y):
+    text, python = expression
+    value = sum((c * x ** e[0] * y ** e[1] for e, c in P(text).terms), Fraction(0))
+    assert value == eval(python, {"Fraction": Fraction, "x": x, "y": y})
 
 
 def test_multiply_monomials():

@@ -7,7 +7,7 @@ import pytest
 from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ
 from okv import spaces
-from okv.polynomials import parse_polynomial
+from okv.polynomials import Polynomial, parse_polynomial
 from okv.spaces import contains, is_subspace, product_space, reduce_to_basis
 
 
@@ -153,3 +153,21 @@ def test_subspace_check_builds_one_echelon(counterexample_space, monkeypatch):
 def test_monomial_cap_enforced():
     with pytest.raises(ResourceCapError):
         reduce_to_basis([P("1 + x + y + x*y")], cap_monomials=2)
+
+
+def test_product_space_cap_trips_before_any_product(monkeypatch):
+    space = reduce_to_basis([P("1 + x"), P("y + x*y")])
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    # 4 terms times 4 terms: 16 candidate terms, checked before any product
+    with pytest.raises(ResourceCapError, match="in product space: 16 > 15"):
+        product_space(space, space, cap_monomials=15)
+    assert products == []
+    assert product_space(space, space, cap_monomials=16).dimension == 3
+    assert len(products) == 4
