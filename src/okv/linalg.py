@@ -1,5 +1,5 @@
-"""Dense exact linear algebra over a field, for the small matrices of the
-hull code: list-of-rows adapters over the sparse engine in `okv.echelon`.
+"""Dense exact linear algebra over a field, for the hull's affine step and
+`polytope_from_halfspaces`: list-of-rows adapters over `okv.echelon`.
 
 Integer entries are read as rationals: the engine scales a row by the
 inverse `pivot ** -1` of its pivot, which is a float for an int pivot."""
@@ -29,10 +29,6 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     for r in rows:
         form.insert(_sparse(r))
     return [_dense(r, ncols) for r in form.sorted_rows()], sorted(form.rows)
-
-
-def rank(rows: list[list], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
 
 
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:

@@ -103,10 +103,15 @@ class Polynomial:
         return Polynomial(self.variables, tuple(sorted(acc.items(), key=lambda t: t[0])))
 
     def power(self, n: int, cap_monomials: int | None = None) -> "Polynomial":
-        """self ** n by repeated squaring; with a cap, ResourceCapError before
-        any product whose candidate terms exceed cap_monomials is formed."""
+        """self ** n by repeated squaring, or (e*n, c**n) directly for one term
+        (e, c); with a cap, ResourceCapError before any product whose candidate
+        terms exceed cap_monomials is formed."""
         if n < 0:
             raise ValidationError("negative polynomial power")
+        if n and len(self.terms) == 1:
+            check_cap(1, cap_monomials, "monomial cap exceeded %s", "expanding a power")
+            (e, c), = self.terms
+            return Polynomial(self.variables, ((tuple(a * n for a in e), c ** n),))
         result = Polynomial.constant(self.variables, _one_like(self))
         base = self
         while n:

@@ -5,7 +5,9 @@ The input points are scaled once by the lcm of their denominators, and the
 hull is built and validated on those integer points; each integer facet is
 mapped back through `_primitive`, so the output is the same as over the
 rationals.  The affine hull of the input is found first, together
-with its equality normals; one beneath–beyond pass then builds the hull
+with its equality normals; only this step and `_primitive` touch `Fraction`,
+and ranks, facet normals and the vertex and facet tests are fraction-free
+integer elimination (`_echelon`).  One beneath–beyond pass builds the hull
 inside it: start from a simplex on affinely independent input points, and
 for each further point delete the boundary simplices it sees and cone the
 horizon ridges to it.  Each boundary hyperplane is taken orthogonal to the
@@ -78,10 +80,60 @@ def _primitive(normal, offset):
     return tuple(ints), Fraction(off)
 
 
+def _echelon(rows, ncols: int) -> list:
+    """Row echelon form of integer rows, as (pivot column, row) pairs, by
+    fraction-free elimination: each pivot row clears its column from the
+    rows not yet placed by cross-multiplication, and each new row is divided
+    by its content.  Its length is the rank."""
+    rest = [r for r in rows if any(r)]
+    form = []
+    for j in range(ncols):
+        if not rest:
+            break
+        i = next((i for i, r in enumerate(rest) if r[j]), None)
+        if i is None:
+            continue
+        pivot = rest.pop(i)
+        form.append((j, pivot))
+        a = pivot[j]
+        cleared = []
+        for r in rest:
+            b = r[j]
+            if b:
+                r = [a * x - b * y for x, y in zip(r, pivot)]
+                g = reduce(gcd, r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            cleared.append(r)
+        rest = cleared
+    return form
+
+
+def _kernel_direction(rows, ncols: int) -> list:
+    """The primitive integer vector, up to sign, spanning the kernel of
+    integer rows of rank ncols - 1: back-substitution through `_echelon`,
+    scaling the partial solution wherever a pivot does not divide."""
+    form = _echelon(rows, ncols)
+    pivots = {j for j, _ in form}
+    x = [0] * ncols
+    x[next(j for j in range(ncols) if j not in pivots)] = 1
+    for j, row in reversed(form):
+        s = _dot(row, x)
+        if s:
+            g = gcd(row[j], s)
+            f = row[j] // g
+            x = [v * f for v in x]
+            x[j] = -s // g
+    g = reduce(gcd, x)
+    return [v // g for v in x]
+
+
 def _affine_rank(points) -> int:
     """Dimension of the affine span of a non-empty point list."""
     diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    return linalg.rank(diffs, len(points[0]))
+    return len(_echelon(diffs, len(points[0])))
 
 
 def _scaled(values, scale: int) -> list:
@@ -106,7 +158,7 @@ def _oriented_plane(pts, face, inside, equalities):
     """
     ridge = [pts[i] for i in face]
     diffs = [[a - b for a, b in zip(q, ridge[0])] for q in ridge[1:]]
-    normal = _integer_direction(linalg.nullspace(diffs + equalities, len(inside), Fraction(1))[0])
+    normal = _kernel_direction(diffs + equalities, len(inside))
     offset = _dot(normal, ridge[0])
     if _dot(normal, inside) > (len(face) + 1) * offset:
         return [-v for v in normal], -offset
@@ -152,7 +204,7 @@ def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], set]:
     vertex_ids = []
     for idx in sorted({i for face in boundary for i in face}):
         tight = [n for n, c in facets if _dot(n, pts[idx]) == c]
-        if linalg.rank(tight, len(pts[0])) == k:
+        if len(_echelon(tight, len(pts[0]))) == k:
             vertex_ids.append(idx)
     return vertex_ids, facets
 

@@ -237,13 +237,16 @@ class Subduction:
         gens, slices = self.gens, self.slices
         reached = _degree_step(slices, gens, m, self.cap)
         slices.append(reached)
-        for v in sorted(reached):
-            members = reached[v]
-            if not members & (members - 1):
-                continue
-            # g_i and g_j meet in the fibre of v iff g_j reaches v - val g_i,
-            # which the complete mask of that point of a finished slice records
-            comps = _components(members, lambda i: slices[m - gens[i][0]][v - gens[i][1]])
+        # g_i and g_j meet in the fibre of v iff g_j reaches v - val g_i, which the
+        # complete mask of that point records: most fibres join their least g_i
+        split = []
+        for v, members in reached.items():
+            low = members & -members
+            gm, gv = gens[low.bit_length() - 1]
+            if members != low | slices[m - gm][v - gv]:
+                split.append(v)
+        for v in sorted(split):
+            comps = _components(reached[v], lambda i: slices[m - gens[i][0]][v - gens[i][1]])
             for comp in comps[1:]:
                 j = (comp & -comp).bit_length() - 1
                 pair = dict(self._product(m, v).terms)

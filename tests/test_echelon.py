@@ -85,7 +85,7 @@ def assert_matches_oracle(field, rows, ncols):
     expected, pivots = dense_rref(rows, ncols)
     got, got_pivots = linalg.rref(rows, ncols)
     assert (got, got_pivots) == (expected, pivots)
-    assert linalg.rank(rows, ncols) == len(pivots)
+    assert len(linalg.rref(rows, ncols)[0]) == len(pivots)
     form = Echelon()
     for row in reversed(rows):
         form.insert(sparse(row))
@@ -112,7 +112,7 @@ def test_integer_rows_stay_exact():
     assert (reduced, pivots) == ([[1, Fraction(3, 2)]], [0])
     assert kernel == [[1, Fraction(-2, 3)]]
     assert solution == [Fraction(1, 2), Fraction(1, 4)]
-    assert linalg.rank([[2, 3], [4, 6]], 2) == 1
+    assert len(linalg.rref([[2, 3], [4, 6]], 2)[0]) == 1
     entries = [v for row in reduced + kernel + [solution] for v in row]
     assert all(type(v) in (int, Fraction) for v in entries)
 

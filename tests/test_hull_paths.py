@@ -5,20 +5,29 @@ beneath-beyond pass in ambient coordinates; both are compared here with
 slower references: the hull of every normalized slice point, the span-and-lift
 hull okv used before (`span_lift_hull`), and the Caratheodory brute-force
 oracles of tests/oracles.py for vertices, membership and lattice points.
-Faces read off the vertices are compared with the halfspace slice.
+Faces read off the vertices are compared with the halfspace slice, and the
+hull's integer ranks and facet normals with the `Fraction` elimination of
+`okv.linalg` they replaced.
 """
 
+import ast
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okv import linalg, polytopes
 from okv.errors import InvariantError, ValidationError
 from okv.jobs import load_fixture
 from okv.polytopes import (
     RationalPolytope,
+    _echelon,
+    _integer_direction,
+    _kernel_direction,
     _validate,
     convex_hull,
     face_restriction,
@@ -152,6 +161,80 @@ def test_validate_rejects_loose_equality():
     )  # the pair y <= 0, -y <= 0 becomes y = 1, which no vertex meets
     with pytest.raises(InvariantError):
         _validate(RationalPolytope(2, segment.vertices, moved, 1))
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): integer rows of 1-5 columns with negative entries, zero
+    rows, repeated rows and multiples, so often rank-deficient."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, 2**70, -(2**70)])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            scale = draw(st.sampled_from([1, -1, 2, -7]))
+            rows.insert(at, [scale * v for v in rows[draw(st.integers(0, len(rows) - 1))]])
+        else:
+            rows.insert(at, [0] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_echelon_rank_equals_rational_rank(case):
+    rows, ncols = case
+    form = _echelon(rows, ncols)
+    assert len(form) == len(linalg.rref(rows, ncols)[0])
+    assert [j for j, _ in form] == sorted({j for j, _ in form})
+    assert all(type(v) is int for _, row in form for v in row)
+
+
+@st.composite
+def corank_one_matrices(draw):
+    """(rows, d): d-1 integer rows of d columns and rank d - 1, for d in 1..5,
+    as in a ridge of differences plus equality normals."""
+    d = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-(2**66), 2**66))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d - 1, max_size=d - 1))
+    if len(linalg.rref(rows, d)[0]) != d - 1:
+        free = draw(st.integers(0, d - 1))
+        rows = [[int(i == j) for j in range(d)] for i in range(d) if i != free]
+    return rows, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(corank_one_matrices())
+def test_integer_kernel_direction_equals_rational_nullspace(case):
+    rows, d = case
+    normal = _kernel_direction(rows, d)
+    rational = _integer_direction(linalg.nullspace(rows, d, Fraction(1))[0])
+    assert normal in (rational, [-v for v in rational])
+    assert all(type(v) is int for v in normal)
+    assert gcd(*normal) == 1
+
+
+PER_SIMPLEX = {"_beneath_beyond", "_oriented_plane", "_affine_rank", "_validate",
+               "_echelon", "_kernel_direction"}
+
+
+def test_per_simplex_hull_work_calls_nothing_in_linalg():
+    """The once-per-hull affine step may use `linalg`; the per-simplex normals,
+    the vertex and facet tests and the validation stay in integer elimination."""
+    tree = ast.parse(Path(polytopes.__file__).read_text(encoding="utf-8"))
+    from_linalg = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("linalg")
+        for alias in node.names
+    }
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert PER_SIMPLEX <= set(functions)
+    for name in sorted(PER_SIMPLEX):
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert not used & ({"linalg"} | from_linalg), name
 
 
 @st.composite

@@ -126,6 +126,34 @@ def test_multiply_square_expansion():
     }
 
 
+@st.composite
+def powers(draw):
+    """(base, n): a base of at most one term over Q or F_7, often the zero
+    polynomial, with n from 0 to 9 (so F_7 coefficients wrap past p)."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    exponent = tuple(draw(st.integers(0, 4)) for _ in variables)
+    coeff = field(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    return Polynomial.monomial(variables, exponent, coeff), draw(st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(powers())
+def test_one_term_power_equals_repeated_multiplication(case):
+    base, n = case
+    one = base.terms[0][1] ** 0 if base else Fraction(1)
+    expected = Polynomial.constant(base.variables, one)
+    for _ in range(n):
+        expected = expected * base
+    assert base.power(n) == expected
+    assert base.power(n, cap_monomials=1) == expected
+    if n and base:
+        with pytest.raises(ResourceCapError, match="expanding a power"):
+            base.power(n, cap_monomials=0)
+    with pytest.raises(ValidationError, match="negative"):
+        base.power(-1)
+
+
 def test_multiply_by_one_is_identity():
     p = P("1 + 2*x - y^2")
     assert p * P("1") == p
