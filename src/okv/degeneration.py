@@ -38,6 +38,7 @@ from .semigroups import (
     Subduction,
     build_gamma,
     gamma_from_generators,
+    hilbert_counts,
     minimal_generators,
     okounkov_body_estimate,
 )
@@ -490,7 +491,7 @@ def flatness_report(
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     one = presentation.field.one
     ends = [_binomial_ends(dict(rel.initial.terms), one) for rel in relation_set.relations]
-    rows = []
+    rows, counts = [], hilbert_counts(gamma)
     binomial = True
     for degree in range(0, depth + 1):
         monomials, mon_index, values = presentation.degree_monomials(degree)
@@ -508,7 +509,7 @@ def flatness_report(
         binomial = binomial and all(p and values[p[0]] == values[p[1]] for p in pairs)
         generic = len(monomials) - relation_set.kernel_dims[degree]
         initial = len(monomials) - len(pairs)
-        rows.append(FlatnessRow(degree, generic, initial, len(gamma.slice(degree))))
+        rows.append(FlatnessRow(degree, generic, initial, counts[degree]))
     verdict = all(
         r.quotient_dim == r.initial_quotient_dim == r.semigroup_count for r in rows
     )

@@ -211,7 +211,7 @@ def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], set]:
 
 def convex_hull(points) -> RationalPolytope:
     """Exact convex hull: irredundant vertices plus a validated H-representation."""
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    pts = sorted({tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points})
     if not pts:
         raise ValidationError("convex hull of an empty point set")
     ambient_dim = len(pts[0])

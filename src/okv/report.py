@@ -53,7 +53,7 @@ def semigroup_dict(gamma: GradedSemigroup) -> dict:
     return {
         "dim": gamma.dim,
         "max_degree": gamma.max_degree,
-        "slices": [sorted(s) for s in gamma.slices],
+        "slices": [gamma.rows(m) for m in range(gamma.max_degree + 1)],
         "hilbert": hilbert_counts(gamma),
     }
 

@@ -28,15 +28,20 @@ additions, and each sumset point keeps the bitmask of the generators that
 reach it.  Those masks are the one record of how a value decomposes:
 generators g and h meet in the fibre of v (some monomial of value v holds
 both) when h reaches v - val g, and a point is a minimal generator when no
-generator of lower degree reaches it.  The same products, tail-reduced,
-give each generator its canonical lift, the element of V^m's reduced basis
-it leads.
+generator of lower degree reaches it.  A fibre splits only if its least
+generator's group (it and those it meets) is not the whole fibre; that group
+seeds the closure that grows its component, and only a split fibre grows
+the others, in the order of their least generator.  Slices stay packed,
+sorted as ints (lex order), until a reader decodes one.  The same products,
+tail-reduced, give each generator its canonical lift, the element of V^m's
+reduced basis it leads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 
 from .echelon import subtract
@@ -50,27 +55,45 @@ GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 _SUBDUCTION_CAP = "monomial cap exceeded in subduction"
 
 
-@dataclass(frozen=True)
 class GradedSemigroup:
     """Degree-indexed value sets, complete up to the truncation degree, and
     their minimal generators sorted by (degree, value), which the builder
-    fills in."""
+    fills in.  Each degree comes as its packed ints sorted as ints, which is lex
+    order (`_Packing`), and is decoded on first read: `rows(m)` in lex order,
+    `slice(m)` as a frozenset, `slices` every degree's.  Semigroups compare by
+    content, whatever their packings."""
 
-    dim: int
-    max_degree: int
-    slices: tuple[frozenset, ...]
-    generators: tuple[GradedPoint, ...]
-
-    def __post_init__(self):
-        if self.max_degree < 0 or len(self.slices) != self.max_degree + 1:
+    def __init__(self, dim: int, max_degree: int, packing, packed: tuple, generators: tuple):
+        if max_degree < 0 or len(packed) != max_degree + 1:
             raise ValidationError("slice list must cover degrees 0..max_degree")
-        if self.slices[0] != frozenset({(0,) * self.dim}):
+        if packed[0] != [0]:
             raise ValidationError("degree-0 slice must be exactly the origin")
+        self.dim, self.max_degree, self.generators = dim, max_degree, generators
+        self._packing, self._packed, self._rows, self._frozen = packing, packed, {}, {}
+
+    def __eq__(self, other):
+        return isinstance(other, GradedSemigroup) and (self.generators, self.slices) == (
+            other.generators, other.slices)
+
+    def __hash__(self):
+        return hash(self.generators)
+
+    def rows(self, m: int) -> tuple:
+        """The slice of degree m, its vectors in lex order."""
+        if m not in self._rows:
+            if not 0 <= m <= self.max_degree:
+                raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
+            self._rows[m] = tuple(self._packing.unpack(self._packed[m]))
+        return self._rows[m]
 
     def slice(self, m: int) -> frozenset:
-        if not 0 <= m <= self.max_degree:
-            raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
-        return self.slices[m]
+        if m not in self._frozen:
+            self._frozen[m] = frozenset(self.rows(m))
+        return self._frozen[m]
+
+    @cached_property
+    def slices(self) -> tuple:
+        return tuple(map(self.slice, range(self.max_degree + 1)))
 
 
 class _Packing:
@@ -133,26 +156,19 @@ def _degree_step(slices, gens, m: int, cap_monomials: int) -> dict:
     return reached
 
 
-def _components(members: int, neighbours) -> list[int]:
-    """Connected components, as bitmasks sorted by their least generator, of the
-    generators in `members`, where neighbours(i) is the bitmask of the
-    generators joined to i."""
-    comps: list[int] = []
-    rest = members
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        group = low | neighbours(low.bit_length() - 1)
-        if group == members:
-            return [members]
-        keep = []
-        for c in comps:
-            if c & group:
-                group |= c
-            else:
-                keep.append(c)
-        comps = keep + [group]
-    return sorted(comps, key=lambda c: c & -c)
+def _closure(low: int, members: int, neighbours) -> int:
+    """The connected component of generator bit `low` in `members`, a union of
+    components, where neighbours(i) is the bitmask of the generators joined to
+    i: the split test's group low | neighbours(low), grown by the neighbours of
+    each newly reached generator until it is all of `members` or stops growing."""
+    done, group = low, low | neighbours(low.bit_length() - 1)
+    while group != members and group != done:
+        new, done = group & ~done, group
+        while new and group != members:
+            bit = new & -new
+            new ^= bit
+            group |= neighbours(bit.bit_length() - 1)
+    return group
 
 
 class Subduction:
@@ -182,8 +198,7 @@ class Subduction:
         ):
             raise ValidationError("subduction needs a basis with distinct monic pivots")
         self.gens, self.polys, self.products, self.terms = [], [], {}, 0
-        self.slices = [{0: 0}, {}]
-        self.frozen = [frozenset({(0,) * self.dim})]
+        self.slices, self.ordered = [{0: 0}, {}], []
         for p in space.basis:
             self._add_generator(1, self.packing.pack(nu(p)), p)
 
@@ -195,17 +210,16 @@ class Subduction:
             self._repack(_Packing(self.dim, 2 * max_degree * self.extent))
         for m in range(len(self.slices), max_degree + 1):
             self._degree(m)
-        while len(self.frozen) <= max_degree:
-            self.frozen.append(frozenset(self.packing.unpack(self.slices[len(self.frozen)])))
+        while len(self.ordered) <= max_degree:
+            self.ordered.append(sorted(self.slices[len(self.ordered)]))
         minimal = sorted(g for g in self.gens if g[0] <= max_degree)
         return GradedSemigroup(
-            self.dim, max_degree, tuple(self.frozen[: max_degree + 1]),
+            self.dim, max_degree, self.packing, tuple(self.ordered[: max_degree + 1]),
             tuple(self.packing.unpack_graded(minimal)),
         )
 
     def _repack(self, packing: _Packing) -> None:
-        old, self.packing = self.packing, packing
-
+        old, self.packing, self.ordered = self.packing, packing, []
         self.gens = [(m, packing.pack(u)) for m, u in old.unpack_graded(self.gens)]
         self.slices = [dict(zip(map(packing.pack, old.unpack(s)), s.values()))
                        for s in self.slices]
@@ -245,10 +259,12 @@ class Subduction:
             gm, gv = gens[low.bit_length() - 1]
             if members != low | slices[m - gm][v - gv]:
                 split.append(v)
+        # each component of a split fibre after the first gives an S-pair
         for v in sorted(split):
-            comps = _components(reached[v], lambda i: slices[m - gens[i][0]][v - gens[i][1]])
-            for comp in comps[1:]:
-                j = (comp & -comp).bit_length() - 1
+            rest = reached[v]
+            neighbours = lambda i: slices[m - gens[i][0]][v - gens[i][1]]
+            while rest := rest & ~_closure(rest & -rest, rest, neighbours):
+                j = (rest & -rest).bit_length() - 1
                 pair = dict(self._product(m, v).terms)
                 subtract(pair, self.one, self._times(j, m, v).terms)
                 self._subduct(m, pair)
@@ -332,10 +348,7 @@ def gamma_from_generators(
         minimal += [(m, p) for p, mask in slices[m].items() if not mask & lower]
     minimal.sort()
     return GradedSemigroup(
-        dim,
-        max_degree,
-        tuple(frozenset(packing.unpack(s)) for s in slices),
-        tuple(packing.unpack_graded(minimal)),
+        dim, max_degree, packing, tuple(map(sorted, slices)), tuple(packing.unpack_graded(minimal))
     )
 
 
@@ -368,7 +381,7 @@ def check_degree_one_generation(semigroup: GradedSemigroup) -> GenerationReport:
 
 def hilbert_counts(semigroup: GradedSemigroup) -> list[int]:
     """Sizes of the slices; the Hilbert function of the semigroup algebra."""
-    return [len(s) for s in semigroup.slices]
+    return [len(s) for s in semigroup._packed]
 
 
 def okounkov_body_estimate(semigroup: GradedSemigroup) -> RationalPolytope:
@@ -405,7 +418,7 @@ def semigroup_normality_check(
         )
     body = okounkov_body_estimate(semigroup)
     expected = lattice_points(body, d, cap_monomials)
-    have = set(semigroup.slice(d))
+    have = semigroup.slice(d)
     missing = expected - have
     if have - expected:
         raise InvariantError("slice escapes the dilated body")

@@ -11,7 +11,7 @@ from math import gcd
 from okv.degeneration import REES_PARAMETER
 from okv.errors import ValidationError
 from okv.polynomials import Polynomial
-from okv.semigroups import GradedSemigroup, gamma_from_generators
+from okv.semigroups import GradedSemigroup, _Packing, gamma_from_generators
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu_image
 
@@ -142,6 +142,30 @@ def oracle_spair_counts(gamma):
     return counts
 
 
+def oracle_components(vertices, edges):
+    """Connected components of the graph on `vertices` (ints) with `edges`
+    (pairs, self-loops allowed), by breadth-first search from each unseen
+    vertex in increasing order: bitmasks in the order of their least vertex."""
+    adjacent = {i: set() for i in vertices}
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, components = set(), []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = [start], 0
+        while queue:
+            i = queue.pop(0)
+            component |= 1 << i
+            for j in sorted(adjacent[i] - seen):
+                seen.add(j)
+                queue.append(j)
+        components.append(component)
+    return components
+
+
 def oracle_degree_one_generation(slices):
     """(status, witness) from iterated sumsets of the degree-one slice; raises
     ValueError when a slice misses a sum."""
@@ -169,11 +193,14 @@ def nu_prefix_image(space, r):
 def gamma_from_slices(slices, dim):
     """A semigroup from hand-built slices, which must be closed under addition.
     They are exactly when every point, taken as a generator, gives them back;
-    the comparison builds them as a semigroup, which checks their shape."""
+    the comparison builds them as a semigroup, packed in their own (smaller)
+    base, which checks their shape."""
     given = tuple(frozenset(tuple(u) for u in s) for s in slices)
     points = [(m, u) for m in range(1, len(given)) for u in given[m]]
     gamma = gamma_from_generators(points, len(given) - 1, dim)
-    if GradedSemigroup(dim, gamma.max_degree, given, gamma.generators) != gamma:
+    packing = _Packing(dim, max([1, *(abs(c) for s in given for u in s for c in u)]))
+    packed = tuple(sorted(map(packing.pack, s)) for s in given)
+    if GradedSemigroup(dim, gamma.max_degree, packing, packed, gamma.generators) != gamma:
         raise ValidationError("slices are not closed under addition")
     return gamma
 

@@ -1,5 +1,6 @@
 """Command line behavior: payloads, determinism, exit codes, file input."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import okv
-from okv import cli, jobs, polytopes
+from okv import cli, jobs, polytopes, semigroups
 from okv.cli import main, run
 from okv.errors import InvariantError, ResourceCapError, ValidationError
 from okv.jobs import JobSpec, jobspec_from_dict, jobspec_to_dict, load_fixture
@@ -55,6 +56,29 @@ def test_body_elliptic_good(capsys):
     assert code == 0
     body = json.loads(out)["result"]["body"]
     assert body["vertices"] == [["0"], ["3"]]
+
+
+def test_body_decodes_no_slice(capsys, monkeypatch):
+    """`body` reads the minimal generators and no slice of Gamma: on
+    bott-samelson-m to degree 10 (9,911 slice points) okv decodes its 13
+    generators, and before that only the degree-one state it repacks for the
+    truncation bound (13 generator values, the origin, the degree-1 slice and
+    13 memoised products).  The report is the one the slice-decoding path
+    wrote."""
+    sizes = []
+    unpack = semigroups._Packing.unpack
+
+    def counting_unpack(packing, points):
+        sizes.append(len(points))
+        return unpack(packing, points)
+
+    monkeypatch.setattr(semigroups._Packing, "unpack", counting_unpack)
+    code, out, _ = run_main(capsys, "body", "--fixture", "bott-samelson-m", "--max-degree", "10")
+    assert code == 0
+    assert sizes == [13, 1, 13, 13, 13]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "04e3581ff8a2f0b516c49f7d088c219be2ab7de67720ff0f9cb6af6baa59d73e"
+    )
 
 
 def test_degenerate_elliptic_good(capsys):

@@ -16,7 +16,13 @@ from okv.jobs import load_fixture
 from okv.polynomials import Polynomial, parse_polynomial
 from okv.polytopes import convex_hull
 from okv.report import render_text, scalar_str, to_json
-from okv.semigroups import _Packing, build_gamma, gamma_from_generators, okounkov_body_estimate
+from okv.semigroups import (
+    GradedSemigroup,
+    _Packing,
+    build_gamma,
+    gamma_from_generators,
+    okounkov_body_estimate,
+)
 from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu, nu_image
 
@@ -180,6 +186,43 @@ def test_packing_unpack_matches_a_scalar_decoder(case):
     assert frozenset(packing.unpack(set(packed))) == frozenset(vectors)
     keys = dict.fromkeys(packed)
     assert dict(zip(packing.unpack(keys), keys)) == dict(zip(vectors, packed))
+
+
+@given(packed_vectors())
+def test_sorted_packed_ints_decode_to_sorted_vectors(case):
+    """Int order is lex order, negative coordinates included, so a slice kept
+    as sorted packed ints decodes to its sorted rows."""
+    dim, bound, vectors = case
+    packing = _Packing(dim, bound)
+    assert list(packing.unpack(sorted(map(packing.pack, vectors)))) == sorted(vectors)
+
+
+@st.composite
+def graded_generators(draw):
+    """(generators, max_degree): one generator of degree 1 and up to three of
+    degree 1 or 2, in one to three coordinates in -3..3, and a truncation
+    degree of 1 to 3."""
+    value = st.tuples(*[st.integers(-3, 3)] * draw(st.integers(1, 3)))
+    first = (1, draw(value))
+    rest = draw(st.lists(st.tuples(st.integers(1, 2), value), max_size=3))
+    return [first, *rest], draw(st.integers(1, 3))
+
+
+@given(graded_generators(), st.integers(1, 40))
+def test_semigroup_equality_holds_across_a_repack(case, extra):
+    """Semigroups compare by their values, not by their packed ints: the same
+    slices packed in a wider base are equal (with an equal hash), and dropping
+    one point is not."""
+    gens, max_degree = case
+    gamma = gamma_from_generators(gens, max_degree)
+    wider = _Packing(gamma.dim, gamma._packing.bound + extra)
+    packed = [sorted(map(wider.pack, gamma.rows(m))) for m in range(max_degree + 1)]
+    repacked = GradedSemigroup(gamma.dim, max_degree, wider, tuple(packed), gamma.generators)
+    assert repacked == gamma and hash(repacked) == hash(gamma)
+    assert repacked.slices == gamma.slices
+    packed[max_degree] = packed[max_degree][1:]
+    fewer = GradedSemigroup(gamma.dim, max_degree, wider, tuple(packed), gamma.generators)
+    assert fewer != gamma
 
 
 # Report leaves: big and negative ints, the three literals, and strings that

@@ -23,6 +23,7 @@ from okv.polynomials import Polynomial, parse_polynomial
 from okv.polytopes import RationalPolytope
 from okv.semigroups import (
     Subduction,
+    _closure,
     build_gamma,
     check_degree_one_generation,
     gamma_from_generators,
@@ -32,6 +33,7 @@ from okv.semigroups import (
 from okv.spaces import SectionSpace, reduce_to_basis
 
 from oracles import (
+    oracle_components,
     oracle_degree_one_generation,
     oracle_lifts,
     oracle_minimal_generators,
@@ -126,6 +128,32 @@ def test_fixture_spairs_match_the_fibre_components(name, max_degree, spairs, fie
     if field != "Q":
         job = dataclasses.replace(job, field_spec={"Fp": 32003})
     assert spairs_against_oracle(job.section_space(), max_degree) == spairs
+
+
+@st.composite
+def neighbour_graphs(draw):
+    """(vertices, edges): up to twelve of the bits 0..15, as the generators of a
+    fibre, and random edges among them, self-loops included."""
+    vertices = draw(st.sets(st.integers(0, 15), min_size=1, max_size=12))
+    vertex = st.sampled_from(sorted(vertices))
+    return vertices, draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+
+
+@given(neighbour_graphs())
+def test_closure_components_match_a_search_oracle(graph):
+    """Grown one at a time from the least generator left, as `_degree` grows
+    a split fibre's components, the closures are the graph's components,
+    ordered by least member."""
+    vertices, edges = graph
+    masks = dict.fromkeys(vertices, 0)
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    rest, components = sum(1 << i for i in vertices), []
+    while rest:
+        components.append(_closure(rest & -rest, rest, masks.__getitem__))
+        rest &= ~components[-1]
+    assert components == oracle_components(vertices, edges)
 
 
 @settings(max_examples=40, deadline=None)
