@@ -16,16 +16,21 @@ family interpolating between the relation and its initial form; certify
 flatness by matching three Hilbert functions degreewise, the generic one
 taken from the kernel dimensions of the relation pass.  The label
 monomials of each degree are enumerated once per presentation, as columns
-and as shifts of relation multiples.  Every matrix cap is checked before
-the step it bounds: the number of relation multiples in a degree follows
-from monomial counts, before any monomial of it is evaluated.
+and as shifts of relation multiples.  They stay packed ints
+(`semigroups._Packing`, wide enough for the pass's relation degree): a
+degree is the sumset of the lower degrees plus each generator, keyed by
+value * W + exponent so that int order is (value, exponent) order, a shift
+is one int addition, and evaluations are sorted lists of packed model
+exponents; a relation's polynomial decodes only its own terms.  Every
+matrix cap is checked before the step it bounds: the number of relation
+multiples in a degree follows from monomial counts, before any monomial of
+it is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from operator import add
 
 from .errors import (DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, InvariantError,
                      ValidationError, check_cap)
@@ -36,6 +41,7 @@ from .semigroups import (
     GradedPoint,
     GradedSemigroup,
     Subduction,
+    _Packing,
     build_gamma,
     gamma_from_generators,
     hilbert_counts,
@@ -49,6 +55,7 @@ from .polytopes import RationalPolytope, face_restriction, polytopes_equal
 REES_PARAMETER = "t"
 _REDUCING_CAP = "matrix cap exceeded reducing degree-%d relations"
 _DEGREE_CAP = "matrix cap exceeded in degree %d"
+_LEAVES = "relation multiple leaves the expected degree"
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,11 @@ class Presentation:
     generators: tuple[PresentationGenerator, ...]
     model_variables: tuple[str, ...]
     field: object
-    _monomials: dict = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _packings: list = dataclass_field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _monomials: list = dataclass_field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     @property
@@ -129,12 +139,35 @@ class Presentation:
     def degrees(self) -> tuple[GradedPoint, ...]:
         return tuple(g.degree for g in self.generators)
 
+    def packings(self, degree: int = 0) -> tuple[_Packing, _Packing]:
+        """The label-exponent and value packings, wide enough for the label
+        monomials of the degree.  A wider request replaces both and drops the
+        degrees enumerated in the old ones."""
+        if not self._packings or self._packings[0].bound < degree:
+            largest = max([1, *(abs(c) for _, u in self.degrees for c in u)])
+            bound = max(1, degree)
+            self._packings[:] = (_Packing(self.size, bound),
+                                 _Packing(len(self.degrees[0][1]), bound * largest))
+            self._monomials.clear()
+        return self._packings[0], self._packings[1]
+
     def degree_monomials(self, degree: int) -> tuple[list, dict, list]:
         """`_degree_monomials`, enumerated and valued once per degree and shared
         by every kernel and flatness pass over this presentation."""
-        if degree not in self._monomials:
-            self._monomials[degree] = _degree_monomials(self, degree)
-        return self._monomials[degree]
+        self.packings(degree)
+        for d in range(len(self._monomials), degree + 1):
+            self._monomials.append(_degree_monomials(self, d))
+        return self._monomials[degree][1:]
+
+    def pack_terms(self, poly: Polynomial) -> list:
+        """(packed label exponent, coefficient) for each term of a polynomial in
+        the labels.  An exponent beyond the label packing is no label monomial
+        of a prepared degree: it packs to the label base to the size, past every
+        packed monomial, so no multiple of it aliases one."""
+        labels, _ = self.packings()
+        past = labels.base ** self.size
+        return [(labels.pack(e) if all(0 <= c <= labels.bound for c in e) else past, c)
+                for e, c in poly.terms]
 
 
 def _present(space, max_degree, cap_monomials):
@@ -211,34 +244,26 @@ class RelationSet:
     kernel_dims: tuple[int, ...] = ()
 
 
-def _label_monomials(grades: tuple[int, ...], total: int) -> list[tuple]:
-    """Exponent vectors a with sum a_i * grades_i equal to the total degree."""
-    out: list[tuple] = []
-
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == len(grades) - 1:
-            if remaining % grades[-1] == 0:
-                out.append(prefix + (remaining // grades[-1],))
-            return
-        step = grades[i]
-        for a in range(remaining // step + 1):
-            rec(i + 1, remaining - a * step, prefix + (a,))
-
-    rec(0, total, ())
-    return out
-
-
-def _degree_monomials(presentation: Presentation, degree: int) -> tuple[list, dict, list]:
-    """Label monomials of a degree, ordered by (value, exponent), their index,
-    and their values, each computed once."""
-    gens = [u for _, u in presentation.degrees]
-    coords = range(len(gens[0]))
-    pairs = sorted(
-        (tuple(sum(n * u[k] for n, u in zip(a, gens) if n) for k in coords), a)
-        for a in _label_monomials(presentation.grades, degree)
-    )
-    monomials = [a for _, a in pairs]
-    return monomials, {a: j for j, a in enumerate(monomials)}, [v for v, _ in pairs]
+def _degree_monomials(presentation: Presentation, degree: int) -> tuple:
+    """Label monomials of a degree as packed exponents ordered by (value,
+    exponent), their index, and their values, each computed once.  Each is
+    keyed by the single int value * W + exponent, W the label base to the
+    size, so the degree is the sumset of the keys of degree d - grade_i plus
+    generator i's key, and int order is (value, exponent) order.  The keys
+    come first, for the degrees above."""
+    labels, values = presentation.packings()
+    width = labels.base ** presentation.size
+    keys = set()
+    if not degree:
+        keys.add(0)
+    for i, (grade, u) in enumerate(presentation.degrees):
+        if grade <= degree:
+            step = values.pack(u) * width + labels.base ** (presentation.size - 1 - i)
+            keys.update(map(step.__add__, presentation._monomials[degree - grade][0]))
+    keys = sorted(keys)
+    monomials = list(map(width.__rmod__, keys))
+    valued = list(values.unpack(list(map(width.__rfloordiv__, keys))))
+    return keys, monomials, dict(zip(monomials, range(len(monomials)))), valued
 
 
 def _monomial_lifts(presentation: Presentation) -> bool:
@@ -255,22 +280,38 @@ def _monomial_lifts(presentation: Presentation) -> bool:
 
 
 class _Evaluator:
-    """Memoized evaluation of label monomials in the polynomial model."""
+    """Memoized evaluation of packed label monomials in the polynomial model:
+    each is a sorted list of (packed model exponent, coefficient), formed as
+    one product of a lower evaluation with one lift."""
 
     def __init__(self, presentation: Presentation):
-        self.lifts = [g.lift for g in presentation.generators]
-        one = Polynomial.constant(presentation.model_variables, presentation.field.one)
-        self.cache = {(0,) * presentation.size: one}
+        labels, _ = presentation.packings()
+        lifts = [g.lift.terms for g in presentation.generators]
+        # a label monomial of degree d is a product of at most d lifts
+        self.model = _Packing(len(presentation.model_variables), labels.bound * max(
+            [1, *(c for terms in lifts for e, _ in terms for c in e)]))
+        self.units = [labels.base ** k for k in range(presentation.size - 1, -1, -1)]
+        one = presentation.field.one
+        # each lift term with its coefficient, or None for a coefficient one
+        self.lifts = [[(self.model.pack(e), None if c == one else c) for e, c in terms]
+                      for terms in lifts]
+        self.cache = {0: [(0, one)]}
 
-    def __call__(self, a: tuple) -> Polynomial:
+    def __call__(self, a: int) -> list:
         if a not in self.cache:
-            i = next(j for j, c in enumerate(a) if c)
-            self.cache[a] = self(a[:i] + (a[i] - 1,) + a[i + 1 :]) * self.lifts[i]
+            # the first nonzero coordinate of a is the first unit not above it
+            i = next(i for i, unit in enumerate(self.units) if unit <= a)
+            rest, acc = self(a - self.units[i]), {}
+            for e, c in self.lifts[i]:
+                for f, d in rest if c is None else [(f, c * d) for f, d in rest]:
+                    s = acc.get(e + f)
+                    acc[e + f] = d if s is None else s + d
+            self.cache[a] = [t for t in sorted(acc.items()) if t[1]]
         return self.cache[a]
 
 
 def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple]:
-    """(i, b) for every label monomial b lifting relations[i] to the degree."""
+    """(i, b) for every packed label monomial b lifting relations[i] to the degree."""
     return [
         (i, b)
         for i, rel in enumerate(relations)
@@ -279,16 +320,12 @@ def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple
     ]
 
 
-def _shifted_index(exp: tuple, b: tuple, mon_index: dict) -> int:
-    j = mon_index.get(tuple(map(add, exp, b)))
-    if j is None:
-        raise InvariantError("relation multiple leaves the expected degree")
-    return j
-
-
-def _shifted_row(poly: Polynomial, b: tuple, mon_index: dict) -> dict:
-    """The sparse row, over monomial indices, of poly times the monomial b."""
-    return {_shifted_index(exp, b, mon_index): c for exp, c in poly.terms}
+def _shifted_row(terms: list, b: int, mon_index: dict) -> dict:
+    """The sparse row, over monomial indices, of the packed terms times the monomial b."""
+    try:
+        return {mon_index[exp + b]: c for exp, c in terms}
+    except KeyError:
+        raise InvariantError(_LEAVES) from None
 
 
 def _binomial_ends(terms: dict, one) -> tuple | None:
@@ -314,11 +351,14 @@ def _component_roots(mon_index: dict, ends: list, multiples) -> list[int] | None
             parent[j] = j = parent[parent[j]]
         return j
 
-    for i, b in multiples:
-        a, c = ends[i]
-        x, y = find(_shifted_index(a, b, mon_index)), find(_shifted_index(c, b, mon_index))
-        if x != y:
-            parent[min(x, y)] = max(x, y)
+    try:
+        for i, b in multiples:
+            a, c = ends[i]
+            x, y = find(mon_index[a + b]), find(mon_index[c + b])
+            if x != y:
+                parent[min(x, y)] = max(x, y)
+    except KeyError:
+        raise InvariantError(_LEAVES) from None
     return [find(j) for j in range(len(parent))]
 
 
@@ -347,11 +387,12 @@ def kernel_ideal_truncated(
     if relation_degree < 1:
         raise ValidationError("relation truncation degree must be at least 1")
     one = presentation.field.one
-    labels = presentation.labels
+    labels, _ = presentation.packings(relation_degree)
     monomial = _monomial_lifts(presentation)
     evaluate = None if monomial else _Evaluator(presentation)
     relations: list[Relation] = []
-    leads: list[tuple] = []  # each relation's pivot monomial
+    terms: list[list] = []  # each relation's packed terms
+    leads: list[int] = []  # each relation's pivot monomial
     ends: list = []  # the binomial ends of each relation's least-value part, or None
     kernel_dims = [0]
     for degree in range(1, relation_degree + 1):
@@ -360,7 +401,7 @@ def kernel_ideal_truncated(
         # The column order is a monomial order, so b * relation has pivot
         # b + lead: multiples with distinct pivots are independent kernel
         # elements, a lower bound on the kernel dimension known in advance.
-        least = len({tuple(map(add, leads[i], b)) for i, b in multiples})
+        least = len({leads[i] + b for i, b in multiples})
         check_cap((len(multiples) + least, len(monomials)), matrix_cap, _REDUCING_CAP, degree)
         if monomial:  # {f: q} for the basis e_f - e_q, q the last of f's fibre (a column)
             last = list(range(len(values)))
@@ -373,7 +414,7 @@ def kernel_ideal_truncated(
         else:
             columns: dict = {}
             for j, a in enumerate(monomials):
-                for exp, c in evaluate(a).terms:
+                for exp, c in evaluate(a):
                     columns.setdefault(exp, {})[j] = c
             check_cap((len(monomials), len(columns)), matrix_cap, _DEGREE_CAP, degree)
             if degree == relation_degree:
@@ -389,14 +430,17 @@ def kernel_ideal_truncated(
         if roots is None or not (monomial or len(old) == len(kernel)):
             form = echelon.Echelon()
             for i, b in multiples:
-                form.insert(_shifted_row(relations[i].poly, b, mon_index))
+                form.insert(_shifted_row(terms[i], b, mon_index))
             old = form.rows
         for pivot in kernel:
             if pivot in old:
                 continue
             vec = {pivot: one, kernel[pivot]: -one} if monomial else kernel[pivot]
-            poly = Polynomial.from_dict(labels, {monomials[j]: c for j, c in vec.items()})
+            row = sorted((monomials[j], c) for j, c in vec.items())  # exponent order
+            exps = labels.unpack([e for e, _ in row])
+            poly = Polynomial(presentation.labels, tuple(zip(exps, [c for _, c in row])))
             relations.append(Relation(poly, (degree, values[pivot])))
+            terms.append(row)
             leads.append(monomials[pivot])
             ends.append(_binomial_ends(
                 {monomials[j]: c for j, c in vec.items() if values[j] == values[pivot]}, one))
@@ -490,7 +534,9 @@ def flatness_report(
     if len(relation_set.kernel_dims) <= depth:
         raise ValidationError("kernel dimensions missing; use kernel_ideal_truncated")
     one = presentation.field.one
-    ends = [_binomial_ends(dict(rel.initial.terms), one) for rel in relation_set.relations]
+    presentation.packings(depth)  # widened before any term is packed
+    initials = [presentation.pack_terms(rel.initial) for rel in relation_set.relations]
+    ends = [_binomial_ends(dict(terms), one) for terms in initials]
     rows, counts = [], hilbert_counts(gamma)
     binomial = True
     for degree in range(0, depth + 1):
@@ -502,7 +548,7 @@ def flatness_report(
         if roots is None:
             special = echelon.Echelon()
             for i, b in multiples:
-                special.insert(_shifted_row(relation_set.relations[i].initial, b, mon_index))
+                special.insert(_shifted_row(initials[i], b, mon_index))
             pairs = [_binomial_ends(row, one) for row in special.rows.values()]
         else:
             pairs = [(j, r) for j, r in enumerate(roots) if r != j]  # the rows e_j - e_r
@@ -544,7 +590,7 @@ def _difference_points(presentation: Presentation, relation_set: RelationSet) ->
     pts = {(m, *u) for m, u in presentation.degrees}
     for rel in relation_set.relations:
         _, mon_index, values = presentation.degree_monomials(rel.degree[0])
-        for exp, _ in rel.poly.terms:
+        for exp, _ in presentation.pack_terms(rel.poly):
             value = values[mon_index[exp]]
             pts.add((0, *(x - y for x, y in zip(rel.degree[1], value))))
     return pts

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, check_cap
@@ -92,7 +93,7 @@ class Polynomial:
         acc: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 s = acc.get(exp)
                 s = prod if s is None else s + prod

@@ -20,6 +20,7 @@ from okv.degeneration import (
     Presentation,
     PresentationGenerator,
     Relation,
+    RelationSet,
     build_presentation,
     flatness_report,
     kernel_ideal_truncated,
@@ -28,7 +29,7 @@ from okv.degeneration import (
     weight_vector_for,
 )
 from okv.echelon import Echelon, nullspace
-from okv.errors import ResourceCapError
+from okv.errors import InvariantError, ResourceCapError
 from okv.fields import QQ, PrimeField
 from okv.jobs import fixture_names, load_fixture
 from okv.polynomials import Polynomial
@@ -36,6 +37,8 @@ from okv.semigroups import build_gamma, gamma_from_generators
 
 from test_degeneration import abstract_generator_sets
 from oracles import (
+    _dense_degree,
+    _dense_degree_exponents,
     dense_flatness,
     dense_kernel_relations,
     dense_nullspace,
@@ -198,7 +201,9 @@ def test_kernel_cap_trips_before_evaluating_the_degree(monkeypatch):
     with pytest.raises(ResourceCapError, match="reducing degree-4 relations"):
         kernel_ideal_truncated(pres, 4)
     (evaluate,) = evaluators
-    degrees = {sum(n * g for n, g in zip(a, pres.grades)) for a in evaluate.cache}
+    labels, _ = pres.packings()
+    degrees = {sum(n * g for n, g in zip(a, pres.grades))
+               for a in labels.unpack(list(evaluate.cache))}
     assert max(degrees) == 3
 
 
@@ -292,3 +297,109 @@ def test_component_flatness_reads_the_values_of_each_component():
            for r in report.rows]
     assert got == rows
     assert report.binomial_initial is binomial is False
+
+
+# ---------------------------------------------------------------------------
+# Packed label monomials against the dense path.
+
+@st.composite
+def graded_values(draw):
+    """Generators of grade 1-3 with non-negative values of one or two coordinates."""
+    dim = draw(st.integers(1, 2))
+    value = st.tuples(*[st.integers(0, 4)] * dim)
+    return draw(st.lists(st.tuples(st.integers(1, 3), value), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_values(), st.integers(0, 7))
+def test_packed_enumeration_matches_the_dense_exponents(generators, degree):
+    """The sumset gives every label monomial of the degree once, in (value,
+    exponent) order, with its value and its index."""
+    pres = presentation_from_generators(generators)
+    monomials, index, values = pres.degree_monomials(degree)
+    labels, _ = pres.packings()
+
+    def value(a):
+        return tuple(map(sum, zip(*([n * c for c in u] for n, (_, u) in zip(a, pres.degrees)))))
+
+    expected = sorted(_dense_degree_exponents(pres.grades, degree), key=lambda a: (value(a), a))
+    assert list(labels.unpack(monomials)) == expected
+    assert values == [value(a) for a in expected]
+    assert index == {m: j for j, m in enumerate(monomials)}
+
+
+@st.composite
+def lifted_presentations(draw):
+    """Up to three generators of grade 1-3 whose lifts are random polynomials
+    in x, y over Q or F_32003."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    exponent = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coefficient = st.integers(-3, 3).filter(bool)
+    gens = []
+    for i, grade in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)), 1):
+        terms = draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=3))
+        lift = Polynomial.from_dict(("x", "y"), {e: field(c) for e, c in terms.items()})
+        gens.append(PresentationGenerator(f"X{i}", (grade, (0,)), lift))
+    return Presentation(tuple(gens), ("x", "y"), field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_presentations(), st.integers(0, 5))
+def test_packed_evaluator_matches_polynomial_products(pres, depth):
+    """Each packed evaluation decodes to the product of the lifts."""
+    labels, _ = pres.packings(depth)
+    evaluate = degeneration._Evaluator(pres)
+    for degree in range(depth + 1):
+        monomials, _, evaluations, _ = _dense_degree(pres, degree)
+        for a, poly in zip(monomials, evaluations):
+            terms = evaluate(labels.pack(a))
+            exps = evaluate.model.unpack([e for e, _ in terms])
+            assert list(zip(exps, [c for _, c in terms])) == list(poly.terms)
+
+
+@pytest.mark.parametrize("name", ["counterexample-p1xp1", "elliptic-bad"])
+def test_widening_the_packings_matches_a_fresh_presentation(name):
+    """A deeper pass widens the packings and re-enumerates; the kernel and
+    flatness passes then agree with those of a fresh presentation, and so
+    does a shallower pass on the widened one."""
+    job = load_fixture(name)
+    if job.is_abstract:
+        make = lambda: presentation_from_generators(job.generator_points())
+        gamma = gamma_from_generators(job.generator_points(), 6)
+    else:
+        space = job.section_space()
+        make = lambda: build_presentation(space, job.max_degree)
+        gamma = build_gamma(space, 6)
+
+    def flatness(pres, kernel):
+        return flatness_report(pres, rees_relations(kernel, pres, weight_vector_for(pres, kernel)),
+                               gamma)
+
+    widened = make()
+    low = kernel_ideal_truncated(widened, 3)
+    assert widened.packings()[0].bound == 3
+    high = kernel_ideal_truncated(widened, 6)
+    assert widened.packings()[0].bound == 6
+    report = flatness(widened, high)
+    assert low == kernel_ideal_truncated(make(), 3) == kernel_ideal_truncated(widened, 3)
+    fresh = make()
+    assert high == kernel_ideal_truncated(fresh, 6)
+    assert report == flatness(fresh, high)
+
+
+def test_a_multiple_leaving_its_degree_aliases_no_monomial():
+    """At depth 1 the label packing has base 3 and generator X2's value 3 is
+    the value packing's bound.  A relation of degree 1 with the term X2^3
+    (digit 3, which would pack like X1) or X1*X2 (degree 2) has a multiple
+    outside degree 1: the flatness pass raises instead of reading it as
+    another monomial."""
+    generators = [(1, (0,)), (1, (3,))]
+    pres = presentation_from_generators(generators)
+    gamma = gamma_from_generators(generators, 1)
+    labels, values = pres.packings(1)
+    assert (labels.base, values.bound) == (3, 3)
+    for outside in ((0, 3), (1, 1)):
+        poly = Polynomial.from_dict(pres.labels, {(1, 0): QQ.one, outside: -QQ.one})
+        relations = RelationSet((Relation(poly, (1, (0,)), initial=poly),), 1, (0, 0))
+        with pytest.raises(InvariantError, match="leaves the expected degree"):
+            flatness_report(pres, relations, gamma)

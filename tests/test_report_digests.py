@@ -102,6 +102,8 @@ TABLE = [
     ('degenerate --fixture elliptic-bad --max-degree 8', 0, 'aacf5fe63db62bd2ed6fb96d2426945dcb08601836c59120cba8709622662bce'),
     ('degenerate --fixture elliptic-good --max-degree 6 --relation-degree 6', 0, 'd06caca4be4c8e5d7558577a580bed9b87d5447d7e1f4de22bee52f7ee222118'),
     ('degenerate --fixture hirzebruch-trapezoid --relation-degree 4', 0, '91bc9061f868a34f6d8aa4566c03cd5db6854cae87a652e541f33f0a0af106d1'),
+    ('degenerate --fixture elliptic-bad --max-degree 12 --cap-matrix 1000000000', 0, '68bfb3f8d7fb96aea94dabfc9d6a634ab07167f7c912e7f22b2961558288dce8'),
+    ('degenerate --fixture counterexample-p1xp1 --relation-degree 12 --cap-matrix 1000000000', 0, '5563dd99343cfd51ff668c9706b56a19dad3736acdb840d28f70d1b2e2a79284'),
     ('degenerate --fixture elliptic-bad --max-degree 10', 2, 'error: resource-cap: matrix cap exceeded reducing degree-10 relations: 1384x423 > 500000'),
     ('degenerate --fixture bott-samelson-m --relation-degree 4', 2, 'error: resource-cap: matrix cap exceeded reducing degree-4 relations: 5138x1820 > 500000'),
     ('check compatibility --fixture bott-samelson-u --subsystem 1;x;y;z', 0, 'a0e151c53e031c730ddb1cb59fa1e005544c5da623fdebf208d95e7af0a7e77d'),
