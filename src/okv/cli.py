@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .errors import OkvError, ValidationError
@@ -220,7 +219,7 @@ def _load_job(args) -> JobSpec:
             s.strip() for s in args.subsystem.split(";") if s.strip()
         )
     if overrides:
-        job = replace(job, **overrides)
+        job = job._replace(**overrides)
     return job
 
 

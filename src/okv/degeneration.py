@@ -29,14 +29,14 @@ it is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, InvariantError,
                      ValidationError, check_cap)
 from . import echelon
 from .fields import QQ
-from .polynomials import Polynomial, polynomial_field
+from .polynomials import Polynomial, Record, polynomial_field
 from .semigroups import (
     GradedPoint,
     GradedSemigroup,
@@ -58,8 +58,7 @@ _DEGREE_CAP = "matrix cap exceeded in degree %d"
 _LEAVES = "relation multiple leaves the expected degree"
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Integer linear form (m, u) -> a0*m - sum(ai*ui) collapsing the order."""
 
     alphas: tuple[int, ...]
@@ -102,26 +101,26 @@ def choose_weight_vector(points, dim: int) -> WeightVector:
 # ---------------------------------------------------------------------------
 # Presentations.
 
-@dataclass(frozen=True)
-class PresentationGenerator:
+class PresentationGenerator(NamedTuple):
     label: str
     degree: GradedPoint
     lift: Polynomial
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Labelled semigroup generators together with their section lifts."""
+class Presentation(Record):
+    """Labelled semigroup generators together with their section lifts.  The
+    packings and enumerated label monomials are caches, outside equality."""
 
-    generators: tuple[PresentationGenerator, ...]
-    model_variables: tuple[str, ...]
-    field: object
-    _packings: list = dataclass_field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _monomials: list = dataclass_field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    _fields = ("generators", "model_variables", "field")
+    __slots__ = _fields + ("_packings", "_monomials")
+
+    def __init__(self, generators: tuple[PresentationGenerator, ...],
+                 model_variables: tuple[str, ...], field):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "model_variables", model_variables)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_packings", [])
+        object.__setattr__(self, "_monomials", [])
 
     @property
     def size(self) -> int:
@@ -223,8 +222,7 @@ def presentation_from_generators(generators) -> Presentation:
 # ---------------------------------------------------------------------------
 # Truncated kernel ideals.
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A polynomial identity among the generator labels."""
 
     poly: Polynomial
@@ -234,8 +232,7 @@ class Relation:
     rees: Polynomial | None = None
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     """Relations up to a truncation degree; `kernel_dims[d]` is the dimension
     of the whole degree-d kernel, multiples of lower relations included."""
 
@@ -485,23 +482,21 @@ def rees_relations(
         deficits = {exp + (top - sum(a * w for a, w in zip(exp, weights)),): c
                     for exp, c in rel.poly.terms}
         rees = Polynomial.from_dict(rees_vars, deficits)
-        enriched.append(replace(rel, initial=bar, weight=top, rees=rees))
-    return replace(relation_set, relations=tuple(enriched))
+        enriched.append(Relation(rel.poly, rel.degree, bar, top, rees))
+    return relation_set._replace(relations=tuple(enriched))
 
 
 # ---------------------------------------------------------------------------
 # Flatness certificates.
 
-@dataclass(frozen=True)
-class FlatnessRow:
+class FlatnessRow(NamedTuple):
     degree: int
     quotient_dim: int
     initial_quotient_dim: int
     semigroup_count: int
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     rows: tuple[FlatnessRow, ...]
     binomial_initial: bool
     verdict: bool
@@ -565,8 +560,7 @@ def flatness_report(
 # ---------------------------------------------------------------------------
 # End-to-end pipelines.
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(NamedTuple):
     presentation: Presentation
     weight_vector: WeightVector
     generator_weights: tuple[int, ...]
@@ -648,8 +642,7 @@ def degenerate_semigroup(
 # ---------------------------------------------------------------------------
 # Compatibility checks.
 
-@dataclass(frozen=True)
-class CompatibilityRecord:
+class CompatibilityRecord(NamedTuple):
     shared_pi: WeightVector
     body_inclusion: bool
     checked_degree: int
@@ -679,12 +672,15 @@ def subsystem_compatibility(
     return CompatibilityRecord(shared_pi, inclusion, max_degree, depth)
 
 
-@dataclass(frozen=True)
-class RestrictionRecord:
-    face: RationalPolytope
-    restricted_body: RationalPolytope
-    match: bool
-    checked_degree: int
+class RestrictionRecord(Record):
+    _fields = __slots__ = ("face", "restricted_body", "match", "checked_degree")
+
+    def __init__(self, face: RationalPolytope, restricted_body: RationalPolytope,
+                 match: bool, checked_degree: int):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "restricted_body", restricted_body)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "checked_degree", checked_degree)
 
 
 def flag_restriction_check(

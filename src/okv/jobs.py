@@ -2,36 +2,57 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .echelon import Echelon
 from .errors import DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, ValidationError
 from .fields import QQ, PrimeField
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, Record, parse_polynomial
 from .spaces import SectionSpace, reduce_to_basis
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """A validated, serializable description of one computation."""
+class JobSpec(Record):
+    """A validated, serializable description of one computation; every
+    construction validates, `_replace` included."""
 
-    field_spec: object = "Q"  # "Q" or {"Fp": prime}
-    variables: tuple[str, ...] | None = None
-    sections: tuple[str, ...] | None = None
-    semigroup_generators: tuple[tuple[int, ...], ...] | None = None
-    max_degree: int = 2
-    relation_degree: int | None = None
-    cap_monomials: int = DEFAULT_MONOMIAL_CAP
-    cap_matrix: int = DEFAULT_MATRIX_CAP
-    restriction_index: int | None = None
-    orders: tuple[int, ...] | None = None
-    subsystem: tuple[str, ...] | None = None
-    change_of_coordinates: tuple[tuple[str, ...], ...] | None = None
-    fixture: str | None = None
-    description: str = ""
+    _fields = __slots__ = (
+        "field_spec", "variables", "sections", "semigroup_generators", "max_degree",
+        "relation_degree", "cap_monomials", "cap_matrix", "restriction_index", "orders",
+        "subsystem", "change_of_coordinates", "fixture", "description",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        field_spec: object = "Q",  # "Q" or {"Fp": prime}
+        variables: tuple[str, ...] | None = None,
+        sections: tuple[str, ...] | None = None,
+        semigroup_generators: tuple[tuple[int, ...], ...] | None = None,
+        max_degree: int = 2,
+        relation_degree: int | None = None,
+        cap_monomials: int = DEFAULT_MONOMIAL_CAP,
+        cap_matrix: int = DEFAULT_MATRIX_CAP,
+        restriction_index: int | None = None,
+        orders: tuple[int, ...] | None = None,
+        subsystem: tuple[str, ...] | None = None,
+        change_of_coordinates: tuple[tuple[str, ...], ...] | None = None,
+        fixture: str | None = None,
+        description: str = "",
+    ):
+        put = object.__setattr__
+        put(self, "field_spec", field_spec)
+        put(self, "variables", variables)
+        put(self, "sections", sections)
+        put(self, "semigroup_generators", semigroup_generators)
+        put(self, "max_degree", max_degree)
+        put(self, "relation_degree", relation_degree)
+        put(self, "cap_monomials", cap_monomials)
+        put(self, "cap_matrix", cap_matrix)
+        put(self, "restriction_index", restriction_index)
+        put(self, "orders", orders)
+        put(self, "subsystem", subsystem)
+        put(self, "change_of_coordinates", change_of_coordinates)
+        put(self, "fixture", fixture)
+        put(self, "description", description)
         has_sections = self.sections is not None
         has_generators = self.semigroup_generators is not None
         if has_sections == has_generators:
@@ -126,13 +147,13 @@ def _linear_form(variables, row) -> Polynomial:
 
 
 # The job-file and report key of each JobSpec field; only `field_spec` is renamed.
-_JOB_KEYS = {"field" if f.name == "field_spec" else f.name: f.name for f in fields(JobSpec)}
+_JOB_KEYS = {"field" if f == "field_spec" else f: f for f in JobSpec._fields}
 
 # The integer fields, in the order of their CLI flags.
 INT_FIELDS = ("max_degree", "relation_degree", "cap_monomials", "cap_matrix", "restriction_index")
 
 # Fields that default to None, so a null in a job file is their default.
-_NULLABLE_FIELDS = {f.name for f in fields(JobSpec) if f.default is None}
+_NULLABLE_FIELDS = {f for f, d in zip(JobSpec._fields, JobSpec.__init__.__defaults__) if d is None}
 
 
 def _int_value(key: str, value) -> int:

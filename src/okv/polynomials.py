@@ -9,9 +9,8 @@ compare and hash equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, check_cap
@@ -20,12 +19,51 @@ from .fields import QQ, field_of
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Record:
+    """An immutable __slots__ record with equality, hash and repr over its
+    `_fields`, and `_asdict`/`_replace` as on a named tuple.  A subclass sets
+    its fields in `__init__` with `object.__setattr__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
+
+    def _replace(self, **changes):
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return type(self)(**changes)
+
+
+class Polynomial(Record):
     """A polynomial as a sorted tuple of (exponent vector, nonzero coefficient)."""
 
-    variables: tuple[str, ...]
-    terms: tuple[tuple[Exponent, object], ...]
+    _fields = __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: tuple[str, ...], terms: tuple[tuple[Exponent, object], ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(variables: Iterable[str], coeffs: Mapping[Exponent, object]) -> "Polynomial":

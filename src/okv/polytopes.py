@@ -23,7 +23,6 @@ scanned with integer arithmetic only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor, gcd, lcm, prod
@@ -31,13 +30,13 @@ from operator import mul
 
 from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
 from . import linalg
+from .polynomials import Record
 
 Point = tuple  # tuple[Fraction, ...]
 Halfspace = tuple  # (normal: tuple[int, ...], offset: Fraction), meaning <n, x> <= c
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(Record):
     """A bounded convex polytope with matching V- and H-representations.
 
     `halfspaces` cut out exactly the polytope, including its affine hull
@@ -45,10 +44,14 @@ class RationalPolytope:
     empty polytope has `affine_dim` -1 and one infeasible constraint.
     """
 
-    ambient_dim: int
-    vertices: tuple[Point, ...]
-    halfspaces: tuple[Halfspace, ...]
-    affine_dim: int
+    _fields = __slots__ = ("ambient_dim", "vertices", "halfspaces", "affine_dim")
+
+    def __init__(self, ambient_dim: int, vertices: tuple[Point, ...],
+                 halfspaces: tuple[Halfspace, ...], affine_dim: int):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "affine_dim", affine_dim)
 
     @property
     def is_empty(self) -> bool:

@@ -39,10 +39,10 @@ reduced basis it leads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 from .echelon import subtract
 from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
@@ -357,8 +357,7 @@ def minimal_generators(semigroup: GradedSemigroup) -> list[GradedPoint]:
     return list(semigroup.generators)
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     """Whether the truncated semigroup is generated by its degree-one slice."""
 
     status: str  # "generated-in-degree-one" | "strict-growth" | "inconclusive"
@@ -399,8 +398,7 @@ def okounkov_body_estimate(semigroup: GradedSemigroup) -> RationalPolytope:
     return convex_hull(points)
 
 
-@dataclass(frozen=True)
-class NormalityRecord:
+class NormalityRecord(NamedTuple):
     normal: bool
     missing: frozenset
     dilation: int

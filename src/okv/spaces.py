@@ -8,16 +8,14 @@ which is what makes valuation images exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .echelon import Echelon
 from .errors import DEFAULT_MONOMIAL_CAP, ValidationError, check_cap
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(NamedTuple):
     """A reduced echelon basis of polynomial sections."""
 
     variables: tuple[str, ...]

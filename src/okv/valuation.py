@@ -12,7 +12,7 @@ per flag member, and its image is the fibre of that set over the orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .polynomials import Polynomial
@@ -58,8 +58,7 @@ def restricted_system(space: SectionSpace, orders) -> SectionSpace:
     return current
 
 
-@dataclass(frozen=True)
-class SaturationRecord:
+class SaturationRecord(NamedTuple):
     saturated: bool
     values: frozenset
     interval: tuple[int, int]

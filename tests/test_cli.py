@@ -615,6 +615,23 @@ def test_matrix_cap_below_one_exits_one(tmp_path, capsys):
     assert "cap_matrix must be at least 1" in err
 
 
+@pytest.mark.parametrize("flag, field", [("--max-degree", "max_degree"),
+                                         ("--relation-degree", "relation_degree")])
+def test_degree_override_below_one_exits_one(capsys, flag, field):
+    # the override replaces a valid fixture job, so only re-validating the
+    # replaced job catches it
+    code, out, err = run_main(capsys, "degenerate", "--fixture", "bott-samelson-u", flag, "0")
+    assert_validation_exit(code, out, err)
+    assert f"{field} must be at least 1" in err
+
+
+def test_job_file_max_degree_below_one_exits_one(tmp_path, capsys):
+    job = {"variables": ["x"], "sections": ["x"], "max_degree": 0}
+    code, out, err = run_job_file(tmp_path, capsys, job, "degenerate")
+    assert_validation_exit(code, out, err)
+    assert "max_degree must be at least 1" in err
+
+
 def test_body_normalized_volume_keeps_the_job_monomial_cap(tmp_path, capsys, monkeypatch):
     # a 700 x 700 triangle: its first lattice scan box alone has 491401 points
     caps = []

@@ -1,6 +1,5 @@
 """Weight vectors, presentations, kernel ideals, Rees families, flatness."""
 
-import dataclasses
 import inspect
 import random
 import sys
@@ -500,7 +499,7 @@ def test_degenerate_enumerates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(degeneration, "_degree_monomials", counting)
     for job in (
-        dataclasses.replace(load_fixture("counterexample-p1xp1"), relation_degree=6),
+        load_fixture("counterexample-p1xp1")._replace(relation_degree=6),
         load_fixture("elliptic-bad", 6),
     ):
         calls.clear()

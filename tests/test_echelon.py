@@ -7,7 +7,6 @@ compared with the dense degree-by-degree path they replaced, on every
 fixture the `degenerate` command runs.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -161,7 +160,7 @@ def fixture_case(name, field):
         gamma = gamma_from_generators(job.generator_points(), max(job.max_degree, depth))
         return pres, depth, gamma
     if field is FP:
-        job = dataclasses.replace(job, field_spec={"Fp": FP.p})
+        job = job._replace(field_spec={"Fp": FP.p})
     space = job.section_space()
     pres = build_presentation(space, job.max_degree)
     depth = job.relation_degree or 2 * max(pres.grades)
@@ -224,7 +223,7 @@ def scaled_first_lift(pres: Presentation) -> Presentation:
     monomial model, so every degree is evaluated."""
     first, *rest = pres.generators
     two = Polynomial.constant(first.lift.variables, pres.field(2))
-    doubled = dataclasses.replace(first, lift=first.lift * two)
+    doubled = first._replace(lift=first.lift * two)
     return Presentation((doubled, *rest), pres.model_variables, pres.field)
 
 
@@ -289,7 +288,7 @@ def test_component_flatness_reads_the_values_of_each_component():
     pres = presentation_from_generators(generators)
     x1_minus_x2 = Polynomial.from_dict(pres.labels, {(1, 0, 0): QQ.one, (0, 1, 0): -QQ.one})
     relations = (Relation(x1_minus_x2, (1, (0,)), initial=x1_minus_x2),)
-    mixed = dataclasses.replace(kernel_ideal_truncated(pres, 2), relations=relations)
+    mixed = kernel_ideal_truncated(pres, 2)._replace(relations=relations)
     gamma = gamma_from_generators(generators, 2)
     report = flatness_report(pres, mixed, gamma)
     rows, binomial = dense_flatness(pres, relations, gamma, 2)

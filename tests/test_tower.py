@@ -10,7 +10,6 @@ random generator sets, random hand-built slices and every section fixture
 over Q and F_32003.  No command makes a product_space call.
 """
 
-import dataclasses
 import json
 import re
 import sys
@@ -59,7 +58,7 @@ def assert_matches_oracles(gamma):
 def section_job(name, field):
     job = load_fixture(name, DEGREES.get(name, 3))
     if field != "Q":
-        job = dataclasses.replace(job, field_spec={"Fp": 32003})
+        job = job._replace(field_spec={"Fp": 32003})
     return job
 
 
@@ -175,7 +174,7 @@ def test_section_commands_make_no_product_space_call(
     monkeypatch, command, what, fixture, max_degree, overrides
 ):
     calls = count_product_spaces(monkeypatch)
-    job = dataclasses.replace(load_fixture(fixture, max_degree), **overrides)
+    job = load_fixture(fixture, max_degree)._replace(**overrides)
     cli.run(command, job, what)
     assert calls == []
 
