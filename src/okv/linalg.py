@@ -1,5 +1,6 @@
-"""Dense exact linear algebra over a field, for the hull's affine step and
-`polytope_from_halfspaces`: list-of-rows adapters over `okv.echelon`.
+"""Dense exact linear algebra over a field: list-of-rows adapters over
+`okv.echelon` for `polytope_from_halfspaces`, which no command reaches.
+The hull itself is integer elimination (`polytopes._echelon`).
 
 Integer entries are read as rationals: the engine scales a row by the
 inverse `pivot ** -1` of its pivot, which is a float for an int pivot."""

@@ -4,16 +4,16 @@ Hulls are exact, with no floating point anywhere, in ambient coordinates.
 The input points are scaled once by the lcm of their denominators, and the
 hull is built and validated on those integer points; each integer facet is
 mapped back through `_primitive`, so the output is the same as over the
-rationals.  The affine hull of the input is found first, together
-with its equality normals; only this step and `_primitive` touch `Fraction`,
-and ranks, facet normals and the vertex and facet tests are fraction-free
-integer elimination (`_echelon`).  One beneath–beyond pass builds the hull
-inside it: start from a simplex on affinely independent input points, and
-for each further point delete the boundary simplices it sees and cone the
-horizon ridges to it.  Each boundary hyperplane is taken orthogonal to the
-equality normals, so coplanar simplices merge into one facet by their
-primitive halfspace, and a point is a vertex when its tight facet normals
-span the affine hull's directions.  Both representations are
+rationals.  No `Fraction` arithmetic runs in between: ranks, kernels and the
+vertex and facet tests are fraction-free integer elimination (`_echelon`).
+A greedy simplex on affinely independent input points spans the affine hull:
+its size is the dimension and the kernel of its edges gives the equality
+normals.  One beneath–beyond pass builds the hull inside it: start from that
+simplex, and for each further point delete the boundary simplices it sees
+and cone the horizon ridges to it.  Each boundary hyperplane is taken
+orthogonal to the equality normals, so coplanar simplices merge into one
+facet by their primitive halfspace, and a point is a vertex when its tight
+facet normals span the affine hull's directions.  Both representations are
 cross-validated on construction.  Membership in the hull of a point set is
 read off the halfspaces of that hull; no linear program is solved.  Faces
 on coordinate hyperplanes are read off the vertices.  Lattice points are
@@ -76,11 +76,11 @@ def empty_polytope(ambient_dim: int) -> RationalPolytope:
 # ---------------------------------------------------------------------------
 # Hull construction.
 
-def _primitive(normal, offset):
-    """The halfspace <normal, x> <= offset as the primitive integer vector on
-    its ray: an integer normal and an integral offset, orientation kept."""
-    *ints, off = _integer_direction([*normal, offset])
-    return tuple(ints), Fraction(off)
+def _primitive(normal, offset: int, scale: int):
+    """The halfspace <normal, y> <= offset on the points y = scale * x, for a
+    primitive integer normal, as the primitive integer halfspace in x."""
+    g = gcd(offset, scale)
+    return tuple(v * (scale // g) for v in normal), Fraction(offset // g)
 
 
 def _echelon(rows, ncols: int) -> list:
@@ -114,23 +114,29 @@ def _echelon(rows, ncols: int) -> list:
     return form
 
 
-def _kernel_direction(rows, ncols: int) -> list:
-    """The primitive integer vector, up to sign, spanning the kernel of
-    integer rows of rank ncols - 1: back-substitution through `_echelon`,
-    scaling the partial solution wherever a pivot does not divide."""
+def _kernel_basis(rows, ncols: int) -> list:
+    """Primitive integer vectors spanning the kernel of integer rows, one per
+    free column of `_echelon`, each 0 on the other free columns:
+    back-substitution through the form, scaling the partial solution
+    wherever a pivot does not divide."""
     form = _echelon(rows, ncols)
     pivots = {j for j, _ in form}
-    x = [0] * ncols
-    x[next(j for j in range(ncols) if j not in pivots)] = 1
-    for j, row in reversed(form):
-        s = _dot(row, x)
-        if s:
-            g = gcd(row[j], s)
-            f = row[j] // g
-            x = [v * f for v in x]
-            x[j] = -s // g
-    g = reduce(gcd, x)
-    return [v // g for v in x]
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for j, row in reversed(form):
+            s = _dot(row, x)
+            if s:
+                g = gcd(row[j], s)
+                f = row[j] // g
+                x = [v * f for v in x]
+                x[j] = -s // g
+        g = reduce(gcd, x)
+        basis.append([v // g for v in x])
+    return basis
 
 
 def _affine_rank(points) -> int:
@@ -144,13 +150,6 @@ def _scaled(values, scale: int) -> list:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _integer_direction(vector) -> list:
-    """The primitive integer vector on the ray of a non-zero rational vector."""
-    ints = _scaled(vector, reduce(lcm, (v.denominator for v in vector)))
-    g = reduce(gcd, ints)
-    return [v // g for v in ints]
-
-
 def _oriented_plane(pts, face, inside, equalities):
     """Integer hyperplane through the points `face` inside the affine hull,
     with `inside` strictly below.
@@ -161,28 +160,23 @@ def _oriented_plane(pts, face, inside, equalities):
     """
     ridge = [pts[i] for i in face]
     diffs = [[a - b for a, b in zip(q, ridge[0])] for q in ridge[1:]]
-    normal = _kernel_direction(diffs + equalities, len(inside))
+    normal = _kernel_basis(diffs + equalities, len(inside))[0]
     offset = _dot(normal, ridge[0])
     if _dot(normal, inside) > (len(face) + 1) * offset:
         return [-v for v in normal], -offset
     return normal, offset
 
 
-def _beneath_beyond(pts, k: int, equalities) -> tuple[list[int], set]:
+def _beneath_beyond(pts, simplex, equalities) -> tuple[list[int], set]:
     """Vertex indices and facet hyperplanes (n, c), meaning <n, y> <= c, of
-    the hull of integer points whose affine hull has dimension k and integer
-    equality normals `equalities`.
+    the hull of integer points whose affine hull is spanned by the k+1 points
+    `simplex` indexes and cut out by the integer normals `equalities`.
 
     The boundary is kept as simplices, each a sorted tuple of k point
     indices.  A point sees a simplex when it lies strictly beyond its
     hyperplane; a point on or beneath every hyperplane lies in the hull.
     """
-    simplex = [0]
-    for i in range(1, len(pts)):
-        if len(simplex) == k + 1:
-            break
-        if _affine_rank([pts[j] for j in simplex] + [pts[i]]) == len(simplex):
-            simplex.append(i)
+    k = len(simplex) - 1
     inside = [sum(pts[i][t] for i in simplex) for t in range(len(pts[0]))]
     boundary = {}
     for skip in simplex:
@@ -223,24 +217,24 @@ def convex_hull(points) -> RationalPolytope:
     scale = lcm(*{c.denominator for p in pts for c in p})
     ints = [_scaled(p, scale) for p in pts]
     base = ints[0]
-    diffs = [[c - b for c, b in zip(p, base)] for p in ints[1:]]
-    basis, _ = linalg.rref(diffs, ambient_dim)
-    k = len(basis)
-    equalities = [
-        _integer_direction(w) for w in linalg.nullspace(basis, ambient_dim, Fraction(1))
-    ]
-    if k == 0:
-        vertex_ids = [0]
-        halfspaces = set()
-    else:
-        vertex_ids, facets = _beneath_beyond(ints, k, equalities)
-        # <n, y> <= c on the points y = scale * x is <n, x> <= c / scale
-        halfspaces = {_primitive(n, Fraction(c, scale)) for n, c in facets}
+    simplex = [0]
+    for i in range(1, len(ints)):
+        if len(simplex) == ambient_dim + 1:
+            break
+        if _affine_rank([ints[j] for j in simplex] + [ints[i]]) == len(simplex):
+            simplex.append(i)
+    k = len(simplex) - 1
+    # Reversed columns put the free columns first, as in `echelon.nullspace`:
+    # the equality halfspaces reported are that basis, up to scale.
+    edges = [[b - c for b, c in zip(ints[i], base)][::-1] for i in simplex[1:]]
+    equalities = [w[::-1] for w in _kernel_basis(edges, ambient_dim)]
+    vertex_ids, facets = _beneath_beyond(ints, simplex, equalities) if k else ([0], ())
+    halfspaces = {_primitive(n, c, scale) for n, c in facets}
     # equalities cutting out the affine hull, as opposite halfspace pairs
     for w in equalities:
-        off = Fraction(_dot(w, base), scale)
-        halfspaces.add(_primitive(w, off))
-        halfspaces.add(_primitive([-v for v in w], -off))
+        off = _dot(w, base)
+        halfspaces.add(_primitive(w, off, scale))
+        halfspaces.add(_primitive([-v for v in w], -off, scale))
     vertices = tuple(pts[i] for i in vertex_ids)
     poly = RationalPolytope(ambient_dim, vertices, tuple(sorted(halfspaces)), k)
     _validate(poly)

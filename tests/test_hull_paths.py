@@ -6,14 +6,16 @@ slower references: the hull of every normalized slice point, the span-and-lift
 hull okv used before (`span_lift_hull`), and the Caratheodory brute-force
 oracles of tests/oracles.py for vertices, membership and lattice points.
 Faces read off the vertices are compared with the halfspace slice, and the
-hull's integer ranks and facet normals with the `Fraction` elimination of
-`okv.linalg` they replaced.
+hull's integer ranks and kernels (facet and equality normals) with the
+`Fraction` elimination of `okv.linalg` they replaced; no hull code calls
+`okv.linalg`.
 """
 
 import ast
 import random
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -26,8 +28,8 @@ from okv.jobs import load_fixture
 from okv.polytopes import (
     RationalPolytope,
     _echelon,
-    _integer_direction,
-    _kernel_direction,
+    _kernel_basis,
+    _scaled,
     _validate,
     convex_hull,
     face_restriction,
@@ -190,37 +192,38 @@ def test_integer_echelon_rank_equals_rational_rank(case):
     assert all(type(v) is int for _, row in form for v in row)
 
 
-@st.composite
-def corank_one_matrices(draw):
-    """(rows, d): d-1 integer rows of d columns and rank d - 1, for d in 1..5,
-    as in a ridge of differences plus equality normals."""
-    d = draw(st.integers(1, 5))
-    entry = st.one_of(st.integers(-4, 4), st.integers(-(2**66), 2**66))
-    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d - 1, max_size=d - 1))
-    if len(linalg.rref(rows, d)[0]) != d - 1:
-        free = draw(st.integers(0, d - 1))
-        rows = [[int(i == j) for j in range(d)] for i in range(d) if i != free]
-    return rows, d
+def _integer_direction(vector) -> list:
+    """The primitive integer vector on the ray of a non-zero rational vector."""
+    ints = _scaled(vector, reduce(lcm, (v.denominator for v in vector)))
+    g = reduce(gcd, ints)
+    return [v // g for v in ints]
 
 
 @settings(max_examples=300, deadline=None)
-@given(corank_one_matrices())
-def test_integer_kernel_direction_equals_rational_nullspace(case):
+@given(integer_matrices())
+def test_integer_kernel_basis_equals_rational_nullspace(case):
+    """With the columns reversed, the free columns come first, as in
+    `echelon.nullspace`: reversed back, each vector is the primitive form of
+    the rational basis vector up to sign, and the basis is in the same order."""
     rows, d = case
-    normal = _kernel_direction(rows, d)
-    rational = _integer_direction(linalg.nullspace(rows, d, Fraction(1))[0])
-    assert normal in (rational, [-v for v in rational])
-    assert all(type(v) is int for v in normal)
-    assert gcd(*normal) == 1
+    basis = [w[::-1] for w in _kernel_basis([r[::-1] for r in rows], d)][::-1]
+    rational = [_integer_direction(w) for w in linalg.nullspace(rows, d, Fraction(1))]
+    assert len(basis) == len(rational)
+    for w, r in zip(basis, rational):
+        assert w in (r, [-v for v in r])
+    assert all(type(v) is int for w in basis for v in w)
+    assert all(gcd(*w) == 1 for w in basis)
 
 
-PER_SIMPLEX = {"_beneath_beyond", "_oriented_plane", "_affine_rank", "_validate",
-               "_echelon", "_kernel_direction"}
+HULL = {"convex_hull", "_beneath_beyond", "_oriented_plane", "_affine_rank", "_validate",
+        "_echelon", "_kernel_basis", "_primitive"}
 
 
-def test_per_simplex_hull_work_calls_nothing_in_linalg():
-    """The once-per-hull affine step may use `linalg`; the per-simplex normals,
-    the vertex and facet tests and the validation stay in integer elimination."""
+def test_hull_construction_calls_nothing_in_linalg():
+    """The whole hull, from the affine hull and the per-simplex normals to
+    the vertex and facet tests, the mapping back and the validation, stays in
+    integer elimination: of the module's functions only
+    `polytope_from_halfspaces` may use `linalg`."""
     tree = ast.parse(Path(polytopes.__file__).read_text(encoding="utf-8"))
     from_linalg = {
         alias.asname or alias.name
@@ -231,8 +234,8 @@ def test_per_simplex_hull_work_calls_nothing_in_linalg():
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
-    assert PER_SIMPLEX <= set(functions)
-    for name in sorted(PER_SIMPLEX):
+    assert HULL <= set(functions)
+    for name in sorted(set(functions) - {"polytope_from_halfspaces"}):
         used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
         assert not used & ({"linalg"} | from_linalg), name
 

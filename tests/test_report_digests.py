@@ -6,11 +6,12 @@ the degeneration, restriction, compatibility and saturation paths at other
 degrees, every kind of cap exit, jobs over F_32003 (`Fp:<fixture>` is a
 job file holding that fixture over F_32003), a job whose description
 needs JSON escapes (`Esc:<fixture>`), a job whose generators repeat and
-decompose (`Gens:<fixture>`) and one with a negative value coordinate
-(`Neg:<fixture>`).  A successful line records the
-stdout digest; a failing line prints no report and records its stderr
-message instead.  The `--format text` rows pin the plain-text renderer the
-same way.  A change that keeps reports byte-identical keeps every row; a
+decompose (`Gens:<fixture>`), one with a negative value coordinate
+(`Neg:<fixture>`) and one whose body is lower-dimensional, so that its
+halfspaces carry the equality pair of its affine hull (`Flat:<fixture>`).
+A successful line records the stdout digest; a failing line prints no
+report and records its stderr message instead.  The `--format text` rows
+pin the plain-text renderer the same way.  A change that keeps reports byte-identical keeps every row; a
 change meant to alter a report re-records the rows it alters.
 """
 
@@ -145,6 +146,8 @@ TABLE = [
     ('body --input Neg:elliptic-good', 0, '2994dd35141f3d6b2e5e5e7bc17258d36c803ca5842a712123b00fa8b741794d'),
     ('check normality --input Neg:elliptic-good', 0, '1378ce286abc2198c2397c843e3d6f30d40ea93d2728a799eab4ef3ef45ea773'),
     ('degenerate --input Neg:elliptic-good', 1, 'error: validation: degenerations need non-negative generator values, got (1, [-1])'),
+    ('body --input Flat:bott-samelson-u', 0, '467aebf7bc0aa0a4b68a6c62541a580b1c08d7eece24872ff4a5027167d1eaf6'),
+    ('check restriction --input Flat:bott-samelson-u --restriction-index 1', 0, '375a579f372e0bed4f31ac416bd2edfcacce27d10190cb7f93a5e965cfa36ed6'),
 ]
 
 
@@ -157,6 +160,9 @@ JOB_EDITS = {
     "Gens": {"semigroup_generators": [[1, 0], [1, 1], [1, 1], [2, 2], [2, 1], [3, 4], [1, 3]]},
     # a negative value coordinate: fine for the semigroup, refused by degenerate
     "Neg": {"semigroup_generators": [[1, 0], [1, -1], [1, 1]], "max_degree": 3},
+    # values on the plane y = z: the body is a triangle with affine_dim 2 in
+    # 3-space, and its halfspaces hold the equality pair (0, 1, -1), (0, -1, 1)
+    "Flat": {"sections": ["1", "x", "y*z", "x*y*z + y^2*z^2"], "max_degree": 3},
 }
 
 
