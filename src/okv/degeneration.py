@@ -38,6 +38,7 @@ from . import echelon
 from .fields import QQ
 from .polynomials import Polynomial, Record, polynomial_field
 from .semigroups import (
+    DEGREES_CAP,
     GradedPoint,
     GradedSemigroup,
     Subduction,
@@ -663,6 +664,7 @@ def subsystem_compatibility(
         raise ValidationError("the subsystem is not contained in the ambient system")
     systems = [_present(v, max_degree, cap_monomials) for v in (space, subsystem)]
     depth = relation_degree or max(default_relation_degree(p) for p, _ in systems)
+    check_cap(depth, cap_monomials, DEGREES_CAP)  # the kernel pass has the matrix cap only
     union = set().union(
         *(_difference_points(p, kernel_ideal_truncated(p, depth, matrix_cap)) for p, _ in systems)
     )

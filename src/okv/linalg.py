@@ -1,9 +1,7 @@
 """Dense exact linear algebra over a field: list-of-rows adapters over
 `okv.echelon` for `polytope_from_halfspaces`, which no command reaches.
-The hull itself is integer elimination (`polytopes._echelon`).
-
-Integer entries are read as rationals: the engine scales a row by the
-inverse `pivot ** -1` of its pivot, which is a float for an int pivot."""
+Integer entries are read as rationals, since the engine keeps an int row
+primitive, not scaled to pivot one; the hull gives it int rows directly."""
 
 from __future__ import annotations
 

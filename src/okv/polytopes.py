@@ -5,7 +5,7 @@ The input points are scaled once by the lcm of their denominators, and the
 hull is built and validated on those integer points; each integer facet is
 mapped back through `_primitive`, so the output is the same as over the
 rationals.  No `Fraction` arithmetic runs in between: ranks, kernels and the
-vertex and facet tests are fraction-free integer elimination (`_echelon`).
+vertex and facet tests run on int rows in `okv.echelon`, fraction-free.
 A greedy simplex on affinely independent input points spans the affine hull:
 its size is the dimension and the kernel of its edges gives the equality
 normals.  One beneath–beyond pass builds the hull inside it: start from that
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import ceil, floor, gcd, lcm, prod
 from operator import mul
 
 from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
-from . import linalg
+from . import echelon, linalg
 from .polynomials import Record
 
 Point = tuple  # tuple[Fraction, ...]
@@ -83,66 +82,19 @@ def _primitive(normal, offset: int, scale: int):
     return tuple(v * (scale // g) for v in normal), Fraction(offset // g)
 
 
-def _echelon(rows, ncols: int) -> list:
-    """Row echelon form of integer rows, as (pivot column, row) pairs, by
-    fraction-free elimination: each pivot row clears its column from the
-    rows not yet placed by cross-multiplication, and each new row is divided
-    by its content.  Its length is the rank."""
-    rest = [r for r in rows if any(r)]
-    form = []
-    for j in range(ncols):
-        if not rest:
-            break
-        i = next((i for i, r in enumerate(rest) if r[j]), None)
-        if i is None:
-            continue
-        pivot = rest.pop(i)
-        form.append((j, pivot))
-        a = pivot[j]
-        cleared = []
-        for r in rest:
-            b = r[j]
-            if b:
-                r = [a * x - b * y for x, y in zip(r, pivot)]
-                g = reduce(gcd, r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [x // g for x in r]
-            cleared.append(r)
-        rest = cleared
-    return form
+def _rank(rows) -> int:
+    """Rank of integer rows: the size of their echelon form."""
+    form = echelon.Echelon()
+    for row in rows:
+        form.insert({j: v for j, v in enumerate(row) if v})
+    return len(form.rows)
 
 
-def _kernel_basis(rows, ncols: int) -> list:
+def _kernel(rows, ncols: int) -> list:
     """Primitive integer vectors spanning the kernel of integer rows, one per
-    free column of `_echelon`, each 0 on the other free columns:
-    back-substitution through the form, scaling the partial solution
-    wherever a pivot does not divide."""
-    form = _echelon(rows, ncols)
-    pivots = {j for j, _ in form}
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        x = [0] * ncols
-        x[free] = 1
-        for j, row in reversed(form):
-            s = _dot(row, x)
-            if s:
-                g = gcd(row[j], s)
-                f = row[j] // g
-                x = [v * f for v in x]
-                x[j] = -s // g
-        g = reduce(gcd, x)
-        basis.append([v // g for v in x])
-    return basis
-
-
-def _affine_rank(points) -> int:
-    """Dimension of the affine span of a non-empty point list."""
-    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    return len(_echelon(diffs, len(points[0])))
+    free column, each 0 on the other free columns (`echelon.nullspace`)."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return [[w.get(j, 0) for j in range(ncols)] for w in echelon.nullspace(sparse, ncols, 1)]
 
 
 def _scaled(values, scale: int) -> list:
@@ -160,7 +112,7 @@ def _oriented_plane(pts, face, inside, equalities):
     """
     ridge = [pts[i] for i in face]
     diffs = [[a - b for a, b in zip(q, ridge[0])] for q in ridge[1:]]
-    normal = _kernel_basis(diffs + equalities, len(inside))[0]
+    normal = _kernel(diffs + equalities, len(inside))[0]
     offset = _dot(normal, ridge[0])
     if _dot(normal, inside) > (len(face) + 1) * offset:
         return [-v for v in normal], -offset
@@ -201,7 +153,7 @@ def _beneath_beyond(pts, simplex, equalities) -> tuple[list[int], set]:
     vertex_ids = []
     for idx in sorted({i for face in boundary for i in face}):
         tight = [n for n, c in facets if _dot(n, pts[idx]) == c]
-        if len(_echelon(tight, len(pts[0]))) == k:
+        if _rank(tight) == k:
             vertex_ids.append(idx)
     return vertex_ids, facets
 
@@ -216,18 +168,16 @@ def convex_hull(points) -> RationalPolytope:
         raise ValidationError("points of mixed dimension")
     scale = lcm(*{c.denominator for p in pts for c in p})
     ints = [_scaled(p, scale) for p in pts]
-    base = ints[0]
-    simplex = [0]
+    base, simplex, span = ints[0], [0], echelon.Echelon()
     for i in range(1, len(ints)):
         if len(simplex) == ambient_dim + 1:
             break
-        if _affine_rank([ints[j] for j in simplex] + [ints[i]]) == len(simplex):
+        span.insert({j: a - b for j, (a, b) in enumerate(zip(ints[i], base)) if a != b})
+        if len(span.rows) == len(simplex):
             simplex.append(i)
     k = len(simplex) - 1
-    # Reversed columns put the free columns first, as in `echelon.nullspace`:
-    # the equality halfspaces reported are that basis, up to scale.
-    edges = [[b - c for b, c in zip(ints[i], base)][::-1] for i in simplex[1:]]
-    equalities = [w[::-1] for w in _kernel_basis(edges, ambient_dim)]
+    edges = [[b - c for b, c in zip(ints[i], base)] for i in simplex[1:]]
+    equalities = _kernel(edges, ambient_dim)
     vertex_ids, facets = _beneath_beyond(ints, simplex, equalities) if k else ([0], ())
     halfspaces = {_primitive(n, c, scale) for n, c in facets}
     # equalities cutting out the affine hull, as opposite halfspace pairs
@@ -270,7 +220,8 @@ def _validate(poly: RationalPolytope) -> None:
         if (tuple(-a for a in n), -c) in present:
             continue  # an equality: with no vertex violating, tight on every vertex
         tight = [v for v in verts if _dot(n, v) == bound]
-        if not tight or _affine_rank(tight) != poly.affine_dim - 1:
+        edges = ([a - b for a, b in zip(v, tight[0])] for v in tight[1:])
+        if not tight or _rank(edges) != poly.affine_dim - 1:
             raise InvariantError("halfspace not tight on a facet")
 
 

@@ -53,6 +53,7 @@ from .valuation import nu, nu_image
 
 GradedPoint = tuple  # (degree: int, value: tuple[int, ...])
 _SUBDUCTION_CAP = "monomial cap exceeded in subduction"
+DEGREES_CAP = "monomial cap exceeded by the number of degrees"  # each stores a slice
 
 
 class GradedSemigroup:
@@ -206,6 +207,7 @@ class Subduction:
         """Gamma truncated at `max_degree`, with its minimal generators."""
         if max_degree < 0:
             raise ValidationError("truncation degree must be non-negative")
+        check_cap(max_degree, self.cap, DEGREES_CAP)
         if max_degree * self.extent > self.packing.bound:
             self._repack(_Packing(self.dim, 2 * max_degree * self.extent))
         for m in range(len(self.slices), max_degree + 1):
@@ -338,6 +340,7 @@ def gamma_from_generators(
         dim = len(gens[0][1])
     if any(len(u) != dim for _, u in gens):
         raise ValidationError("generators of mixed dimension")
+    check_cap(max_degree, cap_monomials, DEGREES_CAP)
     largest = max((abs(c) for _, u in gens for c in u), default=0)
     packing = _Packing(dim, max(1, max_degree * largest))
     packed = [(m, packing.pack(u)) for m, u in gens]

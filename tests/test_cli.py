@@ -519,6 +519,31 @@ def test_capped_power_exits_two_before_expanding(tmp_path, capsys):
     assert "expanding a power" in result[2]
 
 
+ONE_SECTION = {"variables": ["x", "y"], "sections": ["x+y"]}
+
+
+@pytest.mark.parametrize(
+    "argv,job",
+    [
+        (["body"], {**ONE_SECTION, "max_degree": 2**64}),
+        (["semigroup"], {"semigroup_generators": [[1, 1]], "max_degree": 2**64}),
+        (["degenerate"], {**ONE_SECTION, "relation_degree": 2**64}),
+        (["check", "compatibility"], {**ONE_SECTION, "subsystem": ["x+y"],
+                                      "relation_degree": 2**64}),
+    ],
+    ids=["body", "generators", "degenerate", "compatibility"],
+)
+def test_degree_count_exits_two_before_the_degree_loop(tmp_path, capsys, argv, job):
+    """One section stores one slice point per degree, so no other cap trips:
+    the monomial cap bounds the number of degrees before the loop starts."""
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(json.dumps(job), encoding="utf-8")
+    started = time.perf_counter()
+    result = run_main(capsys, *argv, "--input", str(jobfile))
+    assert_cap_exit_within(0.5, *result, started)
+    assert "number of degrees: 18446744073709551616 > 2000000" in result[2]
+
+
 def test_capped_power_checks_each_product_before_forming_it(tmp_path, capsys):
     # (x+y+z+w+v)^4 * (x+y+z+w+v)^8 has 70 * 495 = 34650 candidate terms
     job = {"variables": ["x", "y", "z", "w", "v"], "sections": ["(x+y+z+w+v)^28"],

@@ -2,13 +2,15 @@
 
 The engine (`okv.echelon`) and the dense adapters over it (`okv.linalg`) are
 compared with the dense Gauss-Jordan oracle of tests/oracles.py over the
-rationals and over F_32003; the kernel ideal and the flatness report are
-compared with the dense degree-by-degree path they replaced, on every
-fixture the `degenerate` command runs.
+rationals and over F_32003, and so are the engine's fraction-free int rows;
+the kernel ideal and the flatness report are compared with the dense
+degree-by-degree path they replaced, on every fixture the `degenerate`
+command runs.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,10 +54,13 @@ FIELDS = {"Q": QQ, "F32003": FP}
 
 @st.composite
 def matrices(draw):
-    """(field, rows, ncols) with zero rows, duplicate rows and scaled copies."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    """(ring, rows, ncols) with zero rows, duplicate rows and scaled copies;
+    the ring `int` gives int rows, which also draw entries up to ±2^70."""
+    field = {**FIELDS, "Z": int}[draw(st.sampled_from(["F32003", "Q", "Z"]))]
     ncols = draw(st.integers(0, 6))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 7])
+    if field is int:
+        entry |= st.integers(-2**70, 2**70)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
     rows = [[field(v) for v in row] for row in rows]
     for _ in range(draw(st.integers(0, 3))):
@@ -83,7 +88,45 @@ def sparse(row):
     return {j: v for j, v in enumerate(row) if v}
 
 
+def primitive(vector):
+    """The primitive integer multiple of a rational vector, of the same sign."""
+    scale = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (scale // v.denominator) for v in vector]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+def assert_int_rows_match_oracle(rows, ncols):
+    """Int rows against the `Fraction` oracle: the same pivots, each stored
+    row primitive and, divided by its positive pivot, the oracle's reduced
+    row; each kernel vector the primitive multiple of the oracle's, positive
+    on its free column; each residue a positive multiple of the oracle's."""
+    rational = [[Fraction(v) for v in row] for row in rows]
+    expected, pivots = dense_rref(rational, ncols)
+    form = Echelon()
+    for row in reversed(rows):
+        form.insert(sparse(row))
+    assert sorted(form.rows) == pivots
+    for p, row, reduced in zip(pivots, form.sorted_rows(), expected):
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
+        assert {j: Fraction(v, row[p]) for j, v in row.items()} == sparse(reduced)
+    assert form.terms == sum(len(sparse(r)) for r in expected)
+    kernel = dense_nullspace(rational, ncols, Fraction(1))
+    got = nullspace([sparse(r) for r in rows], ncols, 1)
+    assert got == [sparse(primitive(k)) for k in kernel]
+    assert all(type(v) is int for w in got for v in w.values())
+    for vector in rows + [primitive(k) for k in kernel]:
+        residue = sparse(dense_reduce_against(map(Fraction, vector), expected, pivots))
+        left = form.reduce(sparse(vector))
+        assert left.keys() == residue.keys()
+        assert len({Fraction(v) / residue[j] for j, v in left.items()}) <= 1
+        assert all(v * residue[j] > 0 for j, v in left.items())
+
+
 def assert_matches_oracle(field, rows, ncols):
+    if field is int:
+        return assert_int_rows_match_oracle(rows, ncols)
     expected, pivots = dense_rref(rows, ncols)
     got, got_pivots = linalg.rref(rows, ncols)
     assert (got, got_pivots) == (expected, pivots)
@@ -106,8 +149,8 @@ def assert_matches_oracle(field, rows, ncols):
 
 
 def test_integer_rows_stay_exact():
-    """The engine scales a row by `pivot ** -1`, a float for an int pivot, so
-    the adapters read int entries as rationals."""
+    """The engine keeps an int row primitive, not scaled to pivot one, so the
+    adapters read int entries as rationals."""
     reduced, pivots = linalg.rref([[2, 3]], 2)
     kernel = linalg.nullspace([[2, 3]], 2, 1)
     solution = linalg.solve_unique([[2, 0], [0, 4]], [1, 1])
@@ -119,13 +162,14 @@ def test_integer_rows_stay_exact():
     assert all(type(v) in (int, Fraction) for v in entries)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(matrices())
 @example((QQ, [], 0))
 @example((QQ, [], 4))
 @example((FP, [[FP(0)] * 3, [FP(0)] * 3], 3))
 @example((QQ, full_rank(QQ, 5), 5))
 @example((FP, full_rank(FP, 6), 6))
+@example((int, [[2**70, 3, 0], [6, -(2**70), 4], [0, 0, 0]], 3))
 def test_engine_matches_dense_oracle(case):
     assert_matches_oracle(*case)
 

@@ -6,9 +6,9 @@ slower references: the hull of every normalized slice point, the span-and-lift
 hull okv used before (`span_lift_hull`), and the Caratheodory brute-force
 oracles of tests/oracles.py for vertices, membership and lattice points.
 Faces read off the vertices are compared with the halfspace slice, and the
-hull's integer ranks and kernels (facet and equality normals) with the
-`Fraction` elimination of `okv.linalg` they replaced; no hull code calls
-`okv.linalg`.
+hull's ranks and kernels (facet and equality normals), int rows in
+`okv.echelon`, with the engine's `Fraction` path through `okv.linalg`; no hull
+code calls `okv.linalg`.
 """
 
 import ast
@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okv import linalg, polytopes
+from okv.echelon import Echelon
 from okv.errors import InvariantError, ValidationError
 from okv.jobs import load_fixture
 from okv.polytopes import (
     RationalPolytope,
-    _echelon,
-    _kernel_basis,
+    _kernel,
+    _rank,
     _scaled,
     _validate,
     convex_hull,
@@ -186,10 +187,13 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_integer_echelon_rank_equals_rational_rank(case):
     rows, ncols = case
-    form = _echelon(rows, ncols)
-    assert len(form) == len(linalg.rref(rows, ncols)[0])
-    assert [j for j, _ in form] == sorted({j for j, _ in form})
-    assert all(type(v) is int for _, row in form for v in row)
+    form = Echelon()
+    for row in rows:
+        form.insert({j: v for j, v in enumerate(row) if v})
+    reduced, pivots = linalg.rref(rows, ncols)
+    assert _rank(rows) == len(form.rows) == len(reduced)
+    assert sorted(form.rows) == pivots
+    assert all(type(v) is int for row in form.rows.values() for v in row.values())
 
 
 def _integer_direction(vector) -> list:
@@ -202,21 +206,18 @@ def _integer_direction(vector) -> list:
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_integer_kernel_basis_equals_rational_nullspace(case):
-    """With the columns reversed, the free columns come first, as in
-    `echelon.nullspace`: reversed back, each vector is the primitive form of
-    the rational basis vector up to sign, and the basis is in the same order."""
+    """Each integer kernel vector is the primitive form of the rational basis
+    vector, which is one on its free column, and the basis is in the same order."""
     rows, d = case
-    basis = [w[::-1] for w in _kernel_basis([r[::-1] for r in rows], d)][::-1]
+    basis = _kernel(rows, d)
     rational = [_integer_direction(w) for w in linalg.nullspace(rows, d, Fraction(1))]
-    assert len(basis) == len(rational)
-    for w, r in zip(basis, rational):
-        assert w in (r, [-v for v in r])
+    assert basis == rational
     assert all(type(v) is int for w in basis for v in w)
     assert all(gcd(*w) == 1 for w in basis)
 
 
-HULL = {"convex_hull", "_beneath_beyond", "_oriented_plane", "_affine_rank", "_validate",
-        "_echelon", "_kernel_basis", "_primitive"}
+HULL = {"convex_hull", "_beneath_beyond", "_oriented_plane", "_validate", "_rank", "_kernel",
+        "_primitive"}
 
 
 def test_hull_construction_calls_nothing_in_linalg():

@@ -124,6 +124,7 @@ TABLE = [
     ('check saturation --fixture bott-samelson-u --orders 1,0', 0, '2b8d7792f2044a52bc4b63537bd340d7fd1c5aee587451ee4512f16e6f6ae2f6'),
     ('semigroup --fixture bott-samelson-u --max-degree 6 --cap-monomials 300', 2, 'error: resource-cap: monomial cap exceeded closing generators in degree 4: 512 > 300'),
     ('semigroup --fixture bott-samelson-u --max-degree 7 --cap-monomials 2000', 2, 'error: resource-cap: monomial cap exceeded closing generators in degree 7: 2744 > 2000'),
+    ('body --fixture counterexample-p1xp1 --max-degree 18446744073709551616', 2, 'error: resource-cap: monomial cap exceeded by the number of degrees: 18446744073709551616 > 2000000'),
     ('nu --input Fp:bott-samelson-u', 0, 'ebee85a640b7e9a21f4aee81a920d2925a3da6a6d28f53e835d5b552f50fd061'),
     ('semigroup --input Fp:bott-samelson-u --max-degree 5', 0, 'e2b161c316fd7ccfb855ce385ceb9a98e61e4c55fa93a213f74a546aba258f24'),
     ('degenerate --input Fp:bott-samelson-u --max-degree 2 --relation-degree 2', 0, 'c0dd9d790dc03ded0ccc72e21e1c1c32c906e38eccf0a42586bccf0e0140bf0d'),
