@@ -1,23 +1,28 @@
 """Exact rational polytopes: V-representation, H-representation, lattice points.
 
 Hulls are exact, with no floating point anywhere, in ambient coordinates.
-The input points are scaled once by the lcm of their denominators, and the
-hull is built and validated on those integer points; each integer facet is
-mapped back through `_primitive`, so the output is the same as over the
-rationals.  No `Fraction` arithmetic runs in between: ranks, kernels and the
-vertex and facet tests run on int rows in `okv.echelon`, fraction-free.
+The input points are scaled once by the lcm L of their denominators, then
+deduplicated and sorted as int tuples, and the hull is built and validated
+on those integer points; each integer facet is mapped back through
+`_primitive` and each vertex as `Fraction(x, L)`, so the output is the same
+as over the rationals.  No `Fraction` arithmetic runs in between.
 A greedy simplex on affinely independent input points spans the affine hull:
 its size is the dimension and the kernel of its edges gives the equality
-normals.  One beneath–beyond pass builds the hull inside it: start from that
-simplex, and for each further point delete the boundary simplices it sees
-and cone the horizon ridges to it.  Each boundary hyperplane is taken
-orthogonal to the equality normals, so coplanar simplices merge into one
-facet by their primitive halfspace, and a point is a vertex when its tight
-facet normals span the affine hull's directions.  Both representations are
-cross-validated on construction.  Membership in the hull of a point set is
-read off the halfspaces of that hull; no linear program is solved.  Faces
-on coordinate hyperplanes are read off the vertices.  Lattice points are
-scanned with integer arithmetic only.
+normals.  One beneath–beyond pass (Seidel) builds the hull inside it: start
+from that simplex, and for each further point delete the boundary simplices
+it sees and cone the horizon ridges to it.  Only the starting simplex's
+facet planes and the equality normals come from elimination (int rows in
+`okv.echelon`, fraction-free); each later plane is a rotation about its
+horizon ridge of the two planes meeting there, the gift-wrapping step of
+Chand–Kapur, in integers.  Each boundary hyperplane is orthogonal to the
+equality normals, so coplanar simplices merge into one facet by their
+primitive halfspace.  A point is a vertex when no other boundary point is
+tight on every facet tight at it, a test of tightness bitmasks.  Both
+representations are cross-validated on construction, with ranks.
+Membership in the hull of a point set is read off the halfspaces of that
+hull; no linear program is solved.  Faces on coordinate hyperplanes are
+read off the vertices.  Lattice points are scanned with integer arithmetic
+only.
 """
 
 from __future__ import annotations
@@ -125,8 +130,18 @@ def _beneath_beyond(pts, simplex, equalities) -> tuple[list[int], set]:
     `simplex` indexes and cut out by the integer normals `equalities`.
 
     The boundary is kept as simplices, each a sorted tuple of k point
-    indices.  A point sees a simplex when it lies strictly beyond its
+    indices.  A point p sees a simplex when it lies strictly beyond its
     hyperplane; a point on or beneath every hyperplane lies in the hull.
+    Only the starting simplex's planes are eliminated (`_oriented_plane`).
+    Each horizon ridge lies in one seen simplex, with plane (n1, c1) and
+    s1 = <n1, p> - c1 > 0, and in one unseen one, with (n2, c2) and
+    s2 = <n2, p> - c2 <= 0; the plane through the ridge and p is the
+    rotation s1 (n2, c2) - s2 (n1, c1), made primitive.  It vanishes on the
+    ridge and on p, stays orthogonal to the equality normals, and is
+    negative at every interior point, so it is the primitive outward plane
+    that elimination would give.  The facets tight at a point cut out the
+    least face holding it, so a boundary point is a vertex exactly when its
+    bitmask of tight facets is contained in no other boundary point's.
     """
     k = len(simplex) - 1
     inside = [sum(pts[i][t] for i in simplex) for t in range(len(pts[0]))]
@@ -137,37 +152,48 @@ def _beneath_beyond(pts, simplex, equalities) -> tuple[list[int], set]:
     for idx, p in enumerate(pts):
         if idx in simplex:
             continue
-        visible = [f for f, (n, c) in boundary.items() if _dot(n, p) > c]
-        horizon: set = set()
+        visible = [face for face, (n, c) in boundary.items() if _dot(n, p) > c]
+        if not visible:
+            continue
+        horizon = {}
         for face in visible:
-            del boundary[face]
+            plane = boundary.pop(face)
             for j in range(k):
-                horizon ^= {face[:j] + face[j + 1:]}
-        for ridge in horizon:
-            face = tuple(sorted(ridge + (idx,)))
-            boundary[face] = _oriented_plane(pts, face, inside, equalities)
-    # Coplanar simplices share one primitive plane.  The facet normals lie
-    # in the k-dimensional direction space, so a point is a vertex exactly
-    # when its tight normals span it.
+                ridge = face[:j] + face[j + 1:]
+                if horizon.pop(ridge, None) is None:
+                    horizon[ridge] = plane
+        cones = []
+        for face, (n2, c2) in boundary.items():
+            for j in range(k):
+                ridge = face[:j] + face[j + 1:]
+                if ridge in horizon:
+                    n1, c1 = horizon[ridge]
+                    s1, s2 = _dot(n1, p) - c1, _dot(n2, p) - c2
+                    n = [s1 * b - s2 * a for a, b in zip(n1, n2)]
+                    g = gcd(*n)
+                    plane = [v // g for v in n], (s1 * c2 - s2 * c1) // g
+                    cones.append((tuple(sorted(ridge + (idx,))), plane))
+        boundary.update(cones)
+    # Coplanar simplices share one primitive plane, the facet's.
     facets = {(tuple(n), c) for n, c in boundary.values()}
-    vertex_ids = []
-    for idx in sorted({i for face in boundary for i in face}):
-        tight = [n for n, c in facets if _dot(n, pts[idx]) == c]
-        if _rank(tight) == k:
-            vertex_ids.append(idx)
+    ids = sorted({i for face in boundary for i in face})
+    masks = [sum(1 << b for b, (n, c) in enumerate(facets) if _dot(n, pts[i]) == c)
+             for i in ids]
+    vertex_ids = [i for i, m in zip(ids, masks) if sum(o & m == m for o in masks) == 1]
     return vertex_ids, facets
 
 
 def convex_hull(points) -> RationalPolytope:
-    """Exact convex hull: irredundant vertices plus a validated H-representation."""
-    pts = sorted({tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points})
-    if not pts:
+    """Exact convex hull of points with int or `Fraction` coordinates:
+    irredundant vertices plus a validated H-representation."""
+    points = list(points)
+    scale = lcm(*{c.denominator for p in points for c in p})
+    ints = sorted({tuple(_scaled(p, scale)) for p in points})
+    if not ints:
         raise ValidationError("convex hull of an empty point set")
-    ambient_dim = len(pts[0])
-    if any(len(p) != ambient_dim for p in pts):
+    ambient_dim = len(ints[0])
+    if any(len(p) != ambient_dim for p in ints):
         raise ValidationError("points of mixed dimension")
-    scale = lcm(*{c.denominator for p in pts for c in p})
-    ints = [_scaled(p, scale) for p in pts]
     base, simplex, span = ints[0], [0], echelon.Echelon()
     for i in range(1, len(ints)):
         if len(simplex) == ambient_dim + 1:
@@ -185,7 +211,7 @@ def convex_hull(points) -> RationalPolytope:
         off = _dot(w, base)
         halfspaces.add(_primitive(w, off, scale))
         halfspaces.add(_primitive([-v for v in w], -off, scale))
-    vertices = tuple(pts[i] for i in vertex_ids)
+    vertices = tuple(tuple(Fraction(x, scale) for x in ints[i]) for i in vertex_ids)
     poly = RationalPolytope(ambient_dim, vertices, tuple(sorted(halfspaces)), k)
     _validate(poly)
     return poly

@@ -188,7 +188,8 @@ def to_json(value, pad: str = "\n") -> str:
     a report holds: str, int, bool, None, and lists, tuples and str-keyed dicts
     of them; anything else raises TypeError.  `pad` goes before a closing bracket.
     A list or tuple of int tuples of one non-zero length, such as a semigroup
-    slice, is written one `%d` template per row, with the same bytes."""
+    slice, is written by one `%d` template for all its rows, applied once to
+    their chained items, with the same bytes."""
     kind = type(value)
     if kind is list or kind is tuple:
         inner, ends = pad + "  ", "[]"
@@ -198,7 +199,8 @@ def to_json(value, pad: str = "\n") -> str:
         elif types == {tuple} and (width := _row_width(value)):
             row = inner + "  "
             template = "[" + row + ("," + row).join(["%d"] * width) + inner + "]"
-            items = map(template.__mod__, value)
+            rows = ("," + inner).join([template] * len(value))
+            return "[" + inner + rows % tuple(chain.from_iterable(value)) + pad + "]"
         else:
             items = [to_json(v, inner) for v in value]
     elif kind is dict:

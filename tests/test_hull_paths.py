@@ -5,13 +5,17 @@ beneath-beyond pass in ambient coordinates; both are compared here with
 slower references: the hull of every normalized slice point, the span-and-lift
 hull okv used before (`span_lift_hull`), and the Caratheodory brute-force
 oracles of tests/oracles.py for vertices, membership and lattice points.
-Faces read off the vertices are compared with the halfspace slice, and the
-hull's ranks and kernels (facet and equality normals), int rows in
+Point sets of 9-16 points reach the rotation of boundary planes about
+horizon ridges on most points, and the calls into elimination are counted:
+only the starting simplex and the validation eliminate.  Faces read off the
+vertices are compared with the halfspace slice, and the hull's ranks and
+kernels (the starting facets and the equality normals), int rows in
 `okv.echelon`, with the engine's `Fraction` path through `okv.linalg`; no hull
 code calls `okv.linalg`.
 """
 
 import ast
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okv import linalg, polytopes
+from okv import echelon, linalg, polytopes
 from okv.echelon import Echelon
 from okv.errors import InvariantError, ValidationError
 from okv.jobs import load_fixture
@@ -37,7 +41,12 @@ from okv.polytopes import (
     lattice_points,
     polytope_from_halfspaces,
 )
-from okv.semigroups import build_gamma, gamma_from_generators, okounkov_body_estimate
+from okv.semigroups import (
+    build_gamma,
+    gamma_from_generators,
+    minimal_generators,
+    okounkov_body_estimate,
+)
 
 from oracles import oracle_in_hull, oracle_lattice_points, span_lift_hull
 
@@ -221,9 +230,9 @@ HULL = {"convex_hull", "_beneath_beyond", "_oriented_plane", "_validate", "_rank
 
 
 def test_hull_construction_calls_nothing_in_linalg():
-    """The whole hull, from the affine hull and the per-simplex normals to
-    the vertex and facet tests, the mapping back and the validation, stays in
-    integer elimination: of the module's functions only
+    """The whole hull, from the affine hull and the facet normals to the
+    vertex and facet tests, the mapping back and the validation, stays in
+    integers: of the module's functions only
     `polytope_from_halfspaces` may use `linalg`."""
     tree = ast.parse(Path(polytopes.__file__).read_text(encoding="utf-8"))
     from_linalg = {
@@ -266,6 +275,77 @@ def affine_point_sets(draw):
 def test_ambient_hull_equals_span_and_lift_hull(points):
     hull = convex_hull(points)
     assert (hull.vertices, hull.halfspaces, hull.affine_dim) == span_lift_hull(points)
+
+
+@st.composite
+def rotation_point_sets(draw):
+    """9-16 points in dimension 1-4, so that many lie past the starting
+    simplex and each new boundary plane comes from a rotation about a horizon
+    ridge: either points of the grid {0,1,2}^d, with many coplanar and
+    collinear points, or rational points on a span of lower dimension (of
+    dimension 1 on a line)."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(9, 16))
+    if draw(st.booleans()):
+        grid = st.tuples(*[st.integers(0, 2)] * dim)
+        return draw(st.lists(grid, min_size=count, max_size=count))
+    flat = draw(st.integers(1, max(dim - 1, 1)))
+    small = st.integers(-2, 2)
+    base = [Fraction(draw(small), draw(st.integers(1, 3))) for _ in range(dim)]
+    directions = [[draw(small) for _ in range(dim)] for _ in range(flat)]
+    weights = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = []
+    for _ in range(count):
+        combo = [draw(weights) for _ in directions]
+        points.append(tuple(
+            b + sum((w * d[i] for w, d in zip(combo, directions)), Fraction(0))
+            for i, b in enumerate(base)
+        ))
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotation_point_sets())
+def test_rotated_hull_equals_span_and_lift_hull(points):
+    hull = convex_hull(points)
+    assert (hull.vertices, hull.halfspaces, hull.affine_dim) == span_lift_hull(points)
+
+
+def _body_points(fixture, max_degree):
+    job = load_fixture(fixture, max_degree)
+    gamma = build_gamma(job.section_space(), max_degree)
+    return [tuple(Fraction(c, m) for c in u) for m, u in minimal_generators(gamma)]
+
+
+@pytest.mark.parametrize(
+    "points,nullspaces,ranks",
+    [
+        (lambda: _body_points("bott-samelson-m", 2), 5, 7),
+        (lambda: _body_points("counterexample-p1xp1", 20), 4, 4),
+        (lambda: list(itertools.product(range(3), repeat=3)), 5, 6),
+    ],
+    ids=["bsm-M2", "p1xp1-M20", "grid-3"],
+)
+def test_hull_eliminates_only_for_the_starting_simplex(points, nullspaces, ranks, monkeypatch):
+    """`echelon.nullspace` runs for the k+1 facets of the starting simplex
+    and for the one kernel of equality normals, k+2 calls whatever the number
+    of points, and `_rank` once per facet, in `_validate`: no new boundary
+    simplex and no boundary point eliminates.  (A kernel per new simplex and
+    a rank per boundary point make 37 and 20 calls on bsm M2, 44 and 27 on
+    p1xp1 M20.)"""
+    calls = {"nullspace": 0, "rank": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(echelon, "nullspace", counted("nullspace", echelon.nullspace))
+    monkeypatch.setattr(polytopes, "_rank", counted("rank", polytopes._rank))
+    hull = convex_hull(points())
+    assert (calls["nullspace"], calls["rank"]) == (nullspaces, ranks)
+    assert nullspaces == hull.affine_dim + 2 and ranks == len(hull.halfspaces)
 
 
 @st.composite

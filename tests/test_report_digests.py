@@ -85,6 +85,8 @@ TABLE = [
     ('semigroup --fixture counterexample-p1xp1 --max-degree 12', 0, '1e6cbc22f95c4b2e49c58cfd2ffbcb0f53caf4829c4b6a7ef76f2e87a111c084'),
     ('semigroup --fixture bott-samelson-m --max-degree 6', 0, 'a343b94b30f21e0f01d3661869b9ec8f5782955e10f0a62c54cd333434a765cd'),
     ('body --fixture counterexample-p1xp1 --max-degree 6', 0, 'a64a9db818d998ea0c45f4452e3af07cc4058eb0bf5633d06d07d86ec5b1d234'),
+    ('body --fixture counterexample-p1xp1 --max-degree 20', 0, '17279ac548fb935b2b8e2f68a86eeb5aa8762b3fce039025f87947b5684c5a1a'),
+    ('body --fixture bott-samelson-m --max-degree 4', 0, '899dab3d0af8ed4510831a0ca2e82701a860fdb516ddbd1abc435864c5aaa8db'),
     ('body --fixture bott-samelson-u --max-degree 6', 0, '8d2db668ef8c43ba5f4b3dbf4f4f5f5fd563f5c93f9c46be135a69e3b3f0c49e'),
     ('body --fixture elliptic-bad --max-degree 9', 0, '2fd8c3d6af1d82f958832dd11e0ad3717f5ad2d9e8505595127cac2fcbc1528c'),
     ('body --fixture hirzebruch-trapezoid --max-degree 5', 0, '2df7e92ff41cd3f85faedac71eb81d105344afffee83c284a4eda4ef4c6574d3'),
