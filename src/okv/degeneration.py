@@ -9,9 +9,14 @@ polynomial presentation degree by degree and read the fresh relations off
 the kernel basis pivots that the lower relations' multiples miss.  Binomial
 relations are read off union-find components of the monomials, with no
 polynomial evaluated when the lifts are monomials; otherwise the sparse
-exact echelon engine (`okv.echelon`) eliminates the evaluated columns;
-collapse the modified order on the finitely many degrees that occur to a
-single integer weighting; homogenize each relation into a one-parameter
+exact echelon engine (`okv.echelon`) eliminates the evaluated columns.
+Over Q that runs on ints: each lift is evaluated scaled by the lcm of its
+denominators (`_Evaluator`), and only a fresh relation's kernel vector is
+read back in `Fraction`s; the lower relations' multiples and the special
+fibre enter the engine as `Fraction` rows, which it scales to ints, and
+only their pivots and binomial ends are read, which scaling keeps.  Over
+F_p every row keeps pivot one.  Then collapse the modified order on the
+finitely many degrees that occur to a single integer weighting; homogenize each relation into a one-parameter
 family interpolating between the relation and its initial form; certify
 flatness by matching three Hilbert functions degreewise, the generic one
 taken from the kernel dimensions of the relation pass.  The label
@@ -35,6 +40,7 @@ from typing import NamedTuple
 from .errors import (DEFAULT_MATRIX_CAP, DEFAULT_MONOMIAL_CAP, InvariantError,
                      ValidationError, check_cap)
 from . import echelon
+from .echelon import integral, monic
 from .fields import QQ
 from .polynomials import Polynomial, Record, polynomial_field
 from .semigroups import (
@@ -280,19 +286,25 @@ def _monomial_lifts(presentation: Presentation) -> bool:
 class _Evaluator:
     """Memoized evaluation of packed label monomials in the polynomial model:
     each is a sorted list of (packed model exponent, coefficient), formed as
-    one product of a lower evaluation with one lift."""
+    one product of a lower evaluation with one lift.  Over Q lift i is
+    scaled by s_i, the lcm of its denominators, so every evaluation is an
+    int vector, that of label monomial a scaled by s^a (`scales`, kept only
+    when some s_i is not one); `one` is then the int 1."""
 
     def __init__(self, presentation: Presentation):
         labels, _ = presentation.packings()
-        lifts = [g.lift.terms for g in presentation.generators]
+        lifts = [dict(g.lift.terms) for g in presentation.generators]
+        self.sigmas = [integral(lift) or 1 for lift in lifts]
+        self.scales = {0: 1} if any(s != 1 for s in self.sigmas) else None
         # a label monomial of degree d is a product of at most d lifts
         self.model = _Packing(len(presentation.model_variables), labels.bound * max(
-            [1, *(c for terms in lifts for e, _ in terms for c in e)]))
+            [1, *(c for lift in lifts for e in lift for c in e)]))
         self.units = [labels.base ** k for k in range(presentation.size - 1, -1, -1)]
         one = presentation.field.one
+        self.one = one = 1 if type(one) is Fraction else one
         # each lift term with its coefficient, or None for a coefficient one
-        self.lifts = [[(self.model.pack(e), None if c == one else c) for e, c in terms]
-                      for terms in lifts]
+        self.lifts = [[(self.model.pack(e), None if c == one else c) for e, c in lift.items()]
+                      for lift in lifts]
         self.cache = {0: [(0, one)]}
 
     def __call__(self, a: int) -> list:
@@ -305,7 +317,18 @@ class _Evaluator:
                     s = acc.get(e + f)
                     acc[e + f] = d if s is None else s + d
             self.cache[a] = [t for t in sorted(acc.items()) if t[1]]
+            if self.scales is not None:
+                self.scales[a] = self.scales[a - self.units[i]] * self.sigmas[i]
         return self.cache[a]
+
+    def read_back(self, w: dict, monomials: list) -> dict:
+        """The kernel vector k over the field, k_f = 1 at its least key f, from a
+        kernel vector w of the evaluated columns: over Q, w is an int vector
+        and k_j = s^a_j w_j / (s^a_f w_f), a_j = monomials[j]; over F_p,
+        w_f is one and k is w."""
+        if self.scales is not None:
+            w = {j: c * self.scales[monomials[j]] for j, c in w.items()}
+        return monic(w, w[min(w)])
 
 
 def _multiples(relations, presentation: Presentation, degree: int) -> list[tuple]:
@@ -416,8 +439,9 @@ def kernel_ideal_truncated(
                     columns.setdefault(exp, {})[j] = c
             check_cap((len(monomials), len(columns)), matrix_cap, _DEGREE_CAP, degree)
             if degree == relation_degree:
-                evaluate = None  # no later degree reads the evaluations
-            basis = echelon.nullspace(columns.values(), len(monomials), one, max_cells=matrix_cap)
+                evaluate.cache.clear()  # no later degree reads the evaluations
+            basis = echelon.nullspace(columns.values(), len(monomials), evaluate.one,
+                                      max_cells=matrix_cap)
             kernel = {min(vec): vec for vec in basis}
         kernel_dims.append(len(kernel))
         check_cap((len(multiples) + len(kernel), len(monomials)), matrix_cap, _REDUCING_CAP,
@@ -433,7 +457,10 @@ def kernel_ideal_truncated(
         for pivot in kernel:
             if pivot in old:
                 continue
-            vec = {pivot: one, kernel[pivot]: -one} if monomial else kernel[pivot]
+            if monomial:
+                vec = {pivot: one, kernel[pivot]: -one}
+            else:
+                vec = evaluate.read_back(kernel[pivot], monomials)
             row = sorted((monomials[j], c) for j, c in vec.items())  # exponent order
             exps = labels.unpack([e for e, _ in row])
             poly = Polynomial(presentation.labels, tuple(zip(exps, [c for _, c in row])))

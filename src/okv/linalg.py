@@ -1,7 +1,7 @@
 """Dense exact linear algebra over a field: list-of-rows adapters over
 `okv.echelon` for `polytope_from_halfspaces`, which no command reaches.
-Integer entries are read as rationals, since the engine keeps an int row
-primitive, not scaled to pivot one; the hull gives it int rows directly."""
+Integer entries are read as rationals: `rref` reads the engine's rows back
+over the field, and `nullspace` asks it for the reduced basis over Q."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from . import echelon
 
 
 def _sparse(row: list) -> dict:
-    return {j: Fraction(v) if type(v) is int else v for j, v in enumerate(row) if v}
+    return {j: v for j, v in enumerate(row) if v}
 
 
 def _dense(row: dict, ncols: int) -> list:
@@ -33,6 +33,7 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:
     """Canonical basis of {x : A x = 0}, rows of the RREF of the kernel."""
     sparse = [_sparse(r) for r in rows]
+    one = Fraction(one) if type(one) is int else one
     return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one)]
 
 

@@ -244,9 +244,9 @@ def _product(a: Polynomial, b: Polynomial, cap: int | None, doing: str) -> Polyn
 
 
 def _one_like(p: Polynomial):
+    """The one of p's coefficients' kind: 1, Fraction(1) or the F_p one."""
     if p.terms:
-        c = p.terms[0][1]
-        return c / c
+        return p.terms[0][1] ** 0
     return Fraction(1)
 
 

@@ -17,12 +17,18 @@ among the values: the monomials in G of degree m and value v form a fibre,
 and two of them are joined when they share a generator g.  Joined
 monomials differ by X_g times a relation of lower degree, so a fibre with
 k components needs k - 1 relations beyond those of lower degree, and for
-each extra component one S-pair, the difference of two monic products of
-value v, is subducted (Sturmfels, *Groebner Bases and Convex Polytopes*,
-1996, ch. 11): its leading term is cancelled by a product of the same
-value while that value is in Gamma_m.  A nonzero remainder, made monic, is
-a new generator.  Its value is not a sum of lower values, so the
-generators this loop produces are exactly the minimal generators of Gamma.
+each extra component one S-pair, the difference of two products of value
+v with their leads cancelled, is subducted (Sturmfels, *Groebner Bases and
+Convex Polytopes*, 1996, ch. 11): its leading term is cancelled by a
+product of the same value while that value is in Gamma_m.  A nonzero
+remainder is a new generator: its value is not a sum of lower values, so
+the generators this loop produces are exactly the minimal generators of
+Gamma.  Over Q (and Z) the generators, products and remainders are
+primitive integer polynomials with a positive lead, and a cancellation is
+the fraction-free step of `okv.echelon` (`clear`), so no `Fraction` is
+formed until a lift is read; over F_p they are monic.  Either way each is a
+positive multiple of its monic counterpart, so values, masks and S-pairs
+are those of the monic algebra.
 Values are packed into single ints (`_Packing`), so a sumset is int
 additions, and each sumset point keeps the bitmask of the generators that
 reach it.  Those masks are the one record of how a value decomposes:
@@ -33,8 +39,8 @@ generator's group (it and those it meets) is not the whole fibre; that group
 seeds the closure that grows its component, and only a split fibre grows
 the others, in the order of their least generator.  Slices stay packed,
 sorted as ints (lex order), until a reader decodes one.  The same products,
-tail-reduced, give each generator its canonical lift, the element of V^m's
-reduced basis it leads.
+tail-reduced and divided by their lead once, give each generator its
+canonical lift, the element of V^m's reduced basis it leads.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
-from .echelon import subtract
+from .echelon import clear, integral, monic, normalize
 from .errors import DEFAULT_MONOMIAL_CAP, InvariantError, ValidationError, check_cap
 from .polynomials import Polynomial, polynomial_field
 from .polytopes import RationalPolytope, convex_hull, lattice_points
@@ -178,9 +184,11 @@ class Subduction:
     `semigroup(M)` runs degrees up to M and returns Gamma truncated at M with
     its minimal generators; a later call with a larger M resumes where the
     last one stopped.  The generators start as the reduced basis of V, whose
-    pivots are monic, so every product of generators has lead coefficient 1.
-    Products of generators are memoised per (degree, value), along the first
-    generator that reaches each value.  `cap_monomials` bounds the sumset
+    pivots are monic; over Q each is scaled by the lcm of its denominators
+    to a primitive integer polynomial, and every product of generators is
+    then primitive with a positive lead (Gauss's lemma).  Products of
+    generators are memoised per (degree, value), along the first generator
+    that reaches each value.  `cap_monomials` bounds the sumset
     candidates of each degree and the terms of the memoised products, of
     every subduction remainder and of every lift, before they are formed.
     """
@@ -193,14 +201,18 @@ class Subduction:
         # are at most m times the largest exponent coordinate in V, if any
         self.extent = max([1, *(c for p in space.basis for e, _ in p.terms for c in e)])
         self.packing = _Packing(self.dim, self.extent)
-        self.one = polynomial_field(space.basis[0]).one
+        one = polynomial_field(space.basis[0]).one
         if len(nu_image(space)) < space.dimension or any(
-            p.terms[0][1] != self.one for p in space.basis
+            p.terms[0][1] != one for p in space.basis
         ):
             raise ValidationError("subduction needs a basis with distinct monic pivots")
         self.gens, self.polys, self.products, self.terms = [], [], {}, 0
         self.slices, self.ordered = [{0: 0}, {}], []
         for p in space.basis:
+            if Fraction in {type(c) for _, c in p.terms}:  # monic, so primitive once scaled
+                row = dict(p.terms)
+                integral(row)
+                p = Polynomial(p.variables, tuple(row.items()))
             self._add_generator(1, self.packing.pack(nu(p)), p)
 
     def semigroup(self, max_degree: int) -> GradedSemigroup:
@@ -240,7 +252,8 @@ class Subduction:
         return self.polys[i] * rest
 
     def _product(self, m: int, v: int) -> Polynomial:
-        """The memoised monic product of degree m and value v."""
+        """The memoised product of degree m and value v (primitive with a
+        positive lead over Q, monic over F_p)."""
         key = (m, v)
         if key not in self.products:
             mask = self.slices[m][v]
@@ -267,8 +280,9 @@ class Subduction:
             neighbours = lambda i: slices[m - gens[i][0]][v - gens[i][1]]
             while rest := rest & ~_closure(rest & -rest, rest, neighbours):
                 j = (rest & -rest).bit_length() - 1
-                pair = dict(self._product(m, v).terms)
-                subtract(pair, self.one, self._times(j, m, v).terms)
+                first, other = self._product(m, v), self._times(j, m, v)
+                pair = dict(first.terms)
+                clear(pair, first.terms[0][1], other.terms[0][1], other.terms)
                 self._subduct(m, pair)
 
     def _cancel(self, m: int, f: dict, e: tuple, v: int) -> None:
@@ -276,11 +290,12 @@ class Subduction:
         degree m) by the memoised product of value v: only exponents > e change."""
         product = self._product(m, v)
         check_cap(self.terms + len(f) + len(product.terms), self.cap, _SUBDUCTION_CAP)
-        subtract(f, f[e], product.terms)
+        clear(f, f[e], product.terms[0][1], product.terms)
 
     def _subduct(self, m: int, f: dict) -> None:
         """Reduce f against the slice of degree m; a nonzero remainder, made
-        monic, becomes a new generator of degree m."""
+        primitive with a positive lead (monic over F_p), becomes a new
+        generator of degree m."""
         pack, current = self.packing.pack, self.slices[m]
         while f:
             lead = min(f)
@@ -290,21 +305,20 @@ class Subduction:
             self._cancel(m, f, lead, v)
         else:
             return
-        scale = f[lead] ** -1
-        self._add_generator(
-            m, v, Polynomial.from_dict(self.variables, {e: c * scale for e, c in f.items()})
-        )
+        normalize(f, f[lead])
+        self._add_generator(m, v, Polynomial.from_dict(self.variables, f))
 
     def lift(self, m: int, u: tuple) -> Polynomial:
         """The lift of the generator (m, u): the product of value u, tail-reduced
         in ascending order against the slice of degree m, which leaves V^m's
-        reduced-basis element with lead u (0 at every other point of the slice)."""
+        reduced-basis element with lead u (0 at every other point of the slice),
+        divided by its lead once."""
         pack, current = self.packing.pack, self.slices[m]
         f, w = dict(self._product(m, pack(u)).terms), u
         while True:
             w = min((e for e in f if e > w and pack(e) in current), default=None)
             if w is None:
-                return Polynomial.from_dict(self.variables, f)
+                return Polynomial.from_dict(self.variables, monic(f, f[u]))
             self._cancel(m, f, w, pack(w))
 
     def _add_generator(self, m: int, v: int, poly: Polynomial) -> None:

@@ -3,7 +3,11 @@
 The pivot of each basis element is its lex-min exponent vector; pivots are
 pairwise distinct, scaled to one, and occur in no other basis element.  The
 number of distinct leading exponents therefore always equals the dimension,
-which is what makes valuation images exact.
+which is what makes valuation images exact.  Over Q (int or `Fraction`
+coefficients) the reduction runs fraction-free on primitive integer rows
+(`okv.echelon`), and each basis element is read back divided by its pivot,
+in `Fraction`s unless it is integral already; over F_p it runs on pivot-one
+rows.
 """
 
 from __future__ import annotations

@@ -32,11 +32,12 @@ from okv.degeneration import (
 from okv.echelon import Echelon, nullspace
 from okv.errors import InvariantError, ResourceCapError
 from okv.fields import QQ, PrimeField
-from okv.jobs import fixture_names, load_fixture
+from okv.jobs import fixture_names, jobspec_from_dict, jobspec_to_dict, load_fixture
 from okv.polynomials import Polynomial
 from okv.semigroups import build_gamma, gamma_from_generators
 
 from test_degeneration import abstract_generator_sets
+from test_report_digests import JOB_EDITS
 from oracles import (
     _dense_degree,
     _dense_degree_exponents,
@@ -55,12 +56,15 @@ FIELDS = {"Q": QQ, "F32003": FP}
 @st.composite
 def matrices(draw):
     """(ring, rows, ncols) with zero rows, duplicate rows and scaled copies;
-    the ring `int` gives int rows, which also draw entries up to ±2^70."""
+    the ring `int` gives int rows, which also draw entries up to ±2^70, and Q
+    also draws fractions whose numerators and denominators reach 2^70."""
     field = {**FIELDS, "Z": int}[draw(st.sampled_from(["F32003", "Q", "Z"]))]
     ncols = draw(st.integers(0, 6))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 7])
     if field is int:
         entry |= st.integers(-2**70, 2**70)
+    elif field is QQ:
+        entry |= st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
     rows = [[field(v) for v in row] for row in rows]
     for _ in range(draw(st.integers(0, 3))):
@@ -84,6 +88,16 @@ def full_rank(field, n):
     ]
 
 
+# rational rows whose numerators and denominators reach 2^70, the third
+# a combination of the first two, so the span has rank 2 and a kernel of 2
+BIG_FRACTIONS = [
+    [Fraction(2**70 + 1, 3), Fraction(5, 2**70 - 1), Fraction(0), Fraction(-7, 2**69)],
+    [Fraction(0), Fraction(2**70, 2**70 + 3), Fraction(1, 2**70), Fraction(-(2**70), 11)],
+    [Fraction(2**70 + 1, 6), Fraction(5, 2 * (2**70 - 1)) - Fraction(2**70, 2**70 + 3),
+     Fraction(-1, 2**70), Fraction(-7, 2**70) + Fraction(2**70, 11)],
+]
+
+
 def sparse(row):
     return {j: v for j, v in enumerate(row) if v}
 
@@ -99,18 +113,25 @@ def primitive(vector):
 def assert_int_rows_match_oracle(rows, ncols):
     """Int rows against the `Fraction` oracle: the same pivots, each stored
     row primitive and, divided by its positive pivot, the oracle's reduced
-    row; each kernel vector the primitive multiple of the oracle's, positive
-    on its free column; each residue a positive multiple of the oracle's."""
+    row, which `sorted_rows` reads back; each kernel vector the
+    primitive multiple of the oracle's, positive on its free column; each
+    residue a positive multiple of the oracle's."""
     rational = [[Fraction(v) for v in row] for row in rows]
     expected, pivots = dense_rref(rational, ncols)
     form = Echelon()
     for row in reversed(rows):
         form.insert(sparse(row))
     assert sorted(form.rows) == pivots
-    for p, row, reduced in zip(pivots, form.sorted_rows(), expected):
+    for p, reduced in zip(pivots, expected):
+        row = form.rows[p]
         assert row[p] > 0 and gcd(*row.values()) == 1
         assert all(type(v) is int for v in row.values())
         assert {j: Fraction(v, row[p]) for j, v in row.items()} == sparse(reduced)
+    read_back = form.sorted_rows()
+    assert read_back == [sparse(r) for r in expected]
+    for p, row in zip(pivots, read_back):  # a row with pivot one is already reduced
+        stored = form.rows[p]
+        assert row is stored if stored[p] == 1 else {type(v) for v in row.values()} == {Fraction}
     assert form.terms == sum(len(sparse(r)) for r in expected)
     kernel = dense_nullspace(rational, ncols, Fraction(1))
     got = nullspace([sparse(r) for r in rows], ncols, 1)
@@ -170,6 +191,9 @@ def test_integer_rows_stay_exact():
 @example((QQ, full_rank(QQ, 5), 5))
 @example((FP, full_rank(FP, 6), 6))
 @example((int, [[2**70, 3, 0], [6, -(2**70), 4], [0, 0, 0]], 3))
+@example((QQ, BIG_FRACTIONS, 4))
+@example((QQ, BIG_FRACTIONS[:2], 4))
+@example((QQ, [[Fraction(2**70 - 1, 2**70), Fraction(-3, 2**70 + 1)]], 2))
 def test_engine_matches_dense_oracle(case):
     assert_matches_oracle(*case)
 
@@ -194,8 +218,15 @@ def over_prime_field(pres: Presentation) -> Presentation:
     return Presentation(gens, pres.model_variables, FP)
 
 
+# the rational sections of the digest rows, presented at degree 2 as there
+RATIONAL = "Rat:counterexample-p1xp1"
+
+
 def fixture_case(name, field):
+    edit, _, name = name.rpartition(":")
     job = load_fixture(name)
+    if edit:
+        job = jobspec_from_dict({**jobspec_to_dict(job), **JOB_EDITS[edit], "max_degree": 2})
     if job.is_abstract:
         pres = presentation_from_generators(job.generator_points())
         if field is FP:
@@ -212,7 +243,7 @@ def fixture_case(name, field):
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "F32003"])
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name", fixture_names() + [RATIONAL])
 def test_kernel_and_flatness_match_dense_path(name, field):
     pres, depth, gamma = fixture_case(name, field)
     kernel = kernel_ideal_truncated(pres, depth)

@@ -258,3 +258,22 @@ def test_substitute_with_a_cap_stops_at_the_first_large_product():
         p.substitute(images, variables, cap_monomials=10)
     with pytest.raises(ResourceCapError, match="expanding a power"):
         P("x^300", variables).substitute(images, variables, cap_monomials=10)
+
+
+def test_power_and_substitute_of_int_polynomials_stay_exact():
+    """The one a power starts from, and the image of a kept variable, are of
+    the coefficients' kind: an int polynomial's powers and substitutions have
+    int coefficients, equal to those of the same polynomial over Q."""
+    p = Polynomial.from_dict(("x",), {(1,): 1, (0,): 2})
+    assert str(p.power(2)) == "4 + 4*x + x^2"
+    rational = Polynomial.from_dict(("x",), {(1,): Fraction(1), (0,): Fraction(2)})
+    images = {"x": Polynomial.from_dict(("x", "y"), {(1, 1): 3, (0, 0): -1})}
+    q = Polynomial.from_dict(("x", "y"), {(2, 0): 5, (1, 1): -2, (0, 3): 1})
+    results = [p.power(n) for n in range(4)] + [
+        q.substitute(images, ("x", "y")),
+        q.substitute({}, ("x", "y")),
+        q.substitute({"y": images["x"]}, ("x", "y")),
+    ]
+    for r in results:
+        assert r.terms and all(type(c) is int for _, c in r.terms)
+    assert results[:4] == [rational.power(n) for n in range(4)]

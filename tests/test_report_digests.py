@@ -8,7 +8,8 @@ job file holding that fixture over F_32003), a job whose description
 needs JSON escapes (`Esc:<fixture>`), a job whose generators repeat and
 decompose (`Gens:<fixture>`), one with a negative value coordinate
 (`Neg:<fixture>`) and one whose body is lower-dimensional, so that its
-halfspaces carry the equality pair of its affine hull (`Flat:<fixture>`).
+halfspaces carry the equality pair of its affine hull (`Flat:<fixture>`), and
+one whose sections have rational coefficients (`Rat:<fixture>`).
 A successful line records the stdout digest; a failing line prints no
 report and records its stderr message instead.  The `--format text` rows
 pin the plain-text renderer the same way.  A change that keeps reports byte-identical keeps every row; a
@@ -151,6 +152,10 @@ TABLE = [
     ('degenerate --input Neg:elliptic-good', 1, 'error: validation: degenerations need non-negative generator values, got (1, [-1])'),
     ('body --input Flat:bott-samelson-u', 0, '467aebf7bc0aa0a4b68a6c62541a580b1c08d7eece24872ff4a5027167d1eaf6'),
     ('check restriction --input Flat:bott-samelson-u --restriction-index 1', 0, '375a579f372e0bed4f31ac416bd2edfcacce27d10190cb7f93a5e965cfa36ed6'),
+    ('semigroup --input Rat:counterexample-p1xp1', 0, '40192dca6667a8cd0d654959743d74077ee646ba6a5d4821667c28c08f35c698'),
+    ('body --input Rat:counterexample-p1xp1', 0, '395c19eacf23194936adcf9932a18a961bd746bf586f903dc375728adb15f902'),
+    ('check normality --input Rat:counterexample-p1xp1', 0, '2485fefa138a2591d16bf14f5a0090afd243bac1e0151a97727ab87619b42a9d'),
+    ('degenerate --input Rat:counterexample-p1xp1 --max-degree 2 --relation-degree 4', 0, '9fa8da87340511c240196a2fd1c32d2095905116ee80768d1561d7c8d8e07b84'),
 ]
 
 
@@ -166,6 +171,11 @@ JOB_EDITS = {
     # values on the plane y = z: the body is a triangle with affine_dim 2 in
     # 3-space, and its halfspaces hold the equality pair (0, 1, -1), (0, -1, 1)
     "Flat": {"sections": ["1", "x", "y*z", "x*y*z + y^2*z^2"], "max_degree": 3},
+    # a reduced basis with rational coefficients whose subduction grows them
+    # and whose lifts have denominators other than one
+    "Rat": {"sections": ["1 - 1/3*x^2 - 1/21*x^3*y^3", "y + x^2 + 1/7*x^3*y^3",
+                         "y^3 + 2/7*x^2*y^2 + 3/7*x^3*y^2",
+                         "x - 3*x^2*y + 2*x^2*y^2 + 3*x^3*y^2", "x*y"], "max_degree": 4},
 }
 
 

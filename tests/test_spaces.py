@@ -8,6 +8,7 @@ from okv.errors import ResourceCapError, ValidationError
 from okv.fields import QQ
 from okv import spaces
 from okv.polynomials import Polynomial, parse_polynomial
+from okv.semigroups import build_gamma
 from okv.spaces import contains, is_subspace, product_space, reduce_to_basis
 
 
@@ -171,3 +172,18 @@ def test_product_space_cap_trips_before_any_product(monkeypatch):
     assert products == []
     assert product_space(space, space, cap_monomials=16).dimension == 3
     assert len(products) == 4
+
+
+def test_int_input_gives_the_monic_basis_of_its_fraction_copy():
+    """Int coefficients are rationals: the basis of 2*y + 3*x and 1 is
+    y + 3/2*x and 1, as from `Fraction` input, and subduction accepts it."""
+    variables = ("x", "y")
+    ints = [Polynomial.from_dict(variables, {(0, 1): 2, (1, 0): 3}),
+            Polynomial.from_dict(variables, {(0, 0): 1})]
+    rationals = [Polynomial.from_dict(variables, {e: Fraction(c) for e, c in p.terms})
+                 for p in ints]
+    space, expected = reduce_to_basis(ints), reduce_to_basis(rationals)
+    assert space == expected
+    assert [str(p) for p in space.basis] == ["1", "y + 3/2*x"]
+    assert all(p.terms[0][1] == 1 for p in space.basis)
+    assert build_gamma(space, 4) == build_gamma(expected, 4)
