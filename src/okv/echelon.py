@@ -5,9 +5,10 @@ A row is a dict {key: nonzero coefficient} with totally ordered keys
 nonzero entries are stored or touched, as in Faugère's F4 (1999).  The type
 of a pivot picks the arithmetic.  Over Z and Q the rows are ints, eliminated
 fraction-free by cross-multiplying and dividing by the content (Bareiss
-1968): a row holding `Fraction`s is scaled by the lcm of its denominators
-on entry, and a `Fraction` is formed only where a caller reads a
-coefficient back over Q.  Over F_p a row is scaled to pivot one.
+1968).  A row enters the engine through `Echelon.reduce`, the one place
+where a row holding `Fraction`s is scaled to ints (`integral`, by the lcm of
+its denominators), and `monic` is the one place where an int row is read
+back over Q.  Over F_p a row is scaled to pivot one.
 """
 
 from __future__ import annotations
@@ -69,25 +70,20 @@ def normalize(row: dict, a) -> None:
             row[key] *= scale
 
 
-def integral(row: dict):
+def integral(row: dict) -> None:
     """Scale a row holding `Fraction`s, in place, by the lcm of its
-    denominators to a row of ints, and return that lcm; a row of ints or of
-    F_p elements is left as it is, and gives None."""
-    if Fraction not in map(type, row.values()):
-        return None
-    scale = lcm(*(v.denominator for v in row.values()))
-    for key, v in row.items():
-        row[key] = v.numerator * (scale // v.denominator)
-    return scale
+    denominators to a row of ints; a row of ints or of F_p elements is left
+    as it is."""
+    if Fraction in map(type, row.values()):
+        scale = lcm(*(v.denominator for v in row.values()))
+        for key, v in row.items():
+            row[key] = v.numerator * (scale // v.denominator)
 
 
 def monic(row: dict, a) -> dict:
     """The row divided by its pivot entry a: the row itself when a is one (as
     every F_p pivot is), else an int row read back over Q, in `Fraction`s."""
     return row if a == 1 else {key: Fraction(v, a) for key, v in row.items()}
-
-
-_SCALE = object()  # a key no stored row holds: what a reduced row was scaled by
 
 
 class Echelon:
@@ -109,26 +105,20 @@ class Echelon:
         self.terms = 0
 
     def reduce(self, row: dict) -> dict:
-        """Clear every stored pivot from `row`, in place, and return it; one
-        pass suffices, since a stored row holds no pivot but its own.  A row
-        holding `Fraction`s comes out as its residue, in `Fraction`s; an int
-        row as a positive multiple of its residue over Q."""
-        scale = integral(row)
-        if scale is not None:  # the row's scale, carried along to read it back
-            row[_SCALE] = scale
+        """Scale `row` to ints if it holds `Fraction`s (`integral`), clear
+        every stored pivot from it, in place, and return it; one pass
+        suffices, since a stored row holds no pivot but its own.  Over F_p
+        the result is the residue; over Z and Q it is a positive multiple of
+        the residue, in ints, which is zero exactly when the residue is."""
+        integral(row)
         rows = self.rows
         for key in [k for k in row if k in rows]:
             other = rows[key]
             clear(row, row[key], other[key], other.items())
-        if scale is not None:
-            scale = row.pop(_SCALE)
-            for key, v in row.items():
-                row[key] = Fraction(v, scale)
         return row
 
     def insert(self, row: dict) -> None:
         """Reduce `row` in place and, unless it vanishes, store it."""
-        integral(row)
         self.reduce(row)
         if not row:
             return
@@ -160,19 +150,18 @@ def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = Non
     the greatest index as pivot, so each free column f yields the kernel
     vector e_f - sum row[f]/row[p] e_p over the pivots p, whose least key is
     f and whose other keys are pivots: the basis comes out in reduced echelon
-    form directly.  `one` picks what comes back: for the int 1 each vector
-    is its least integer multiple, which is primitive and positive at f; for
-    `Fraction(1)` that vector divided by its entry at f; over F_p the
-    field's one.  `max_cells` bounds the basis (dimension times width)
-    before it is built.
+    form directly.  `one` is the int 1 for int or Q rows, and each vector
+    comes back as its least integer multiple, primitive and positive at f
+    (`monic` reads it back over Q); over F_p it is the field's one, and each
+    vector has entry one at f.  `max_cells` bounds the basis (dimension
+    times width) before it is built.
     """
     reversed_form = Echelon()
     for row in rows:
         reversed_form.insert({-j: c for j, c in row.items()})
     free = [j for j in range(ncols) if -j not in reversed_form.rows]
     check_cap((len(free), ncols), max_cells, BASIS_CAP)
-    rational = type(one) is Fraction
-    basis = {f: {f: 1 if rational else one} for f in free}
+    basis = {f: {f: one} for f in free}
     for p, row in reversed_form.rows.items():
         a = row[p]
         for k, c in row.items():
@@ -184,4 +173,4 @@ def nullspace(rows: Iterable[dict], ncols: int, one, max_cells: int | None = Non
                         vec[key] *= s
                     c = c * vec[-k] // a
                 vec[-p] = -c
-    return [monic(basis[f], basis[f][f]) if rational else basis[f] for f in free]
+    return [basis[f] for f in free]

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over a field: list-of-rows adapters over
 `okv.echelon` for `polytope_from_halfspaces`, which no command reaches.
 Integer entries are read as rationals: `rref` reads the engine's rows back
-over the field, and `nullspace` asks it for the reduced basis over Q."""
+over the field, and `nullspace` reads each primitive kernel vector back
+divided by its entry at its free column (`echelon.monic`)."""
 
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:
     """Canonical basis of {x : A x = 0}, rows of the RREF of the kernel."""
     sparse = [_sparse(r) for r in rows]
-    one = Fraction(one) if type(one) is int else one
-    return [_dense(r, ncols) for r in echelon.nullspace(sparse, ncols, one)]
+    basis = echelon.nullspace(sparse, ncols, 1 if type(one) in (int, Fraction) else one)
+    return [_dense(echelon.monic(w, w[min(w)]), ncols) for w in basis]
 
 
 def solve_unique(matrix: list[list], rhs: list):

@@ -46,7 +46,6 @@ canonical lift, the element of V^m's reduced basis it leads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -66,7 +65,7 @@ class GradedSemigroup:
     """Degree-indexed value sets, complete up to the truncation degree, and
     their minimal generators sorted by (degree, value), which the builder
     fills in.  Each degree comes as its packed ints sorted as ints, which is lex
-    order (`_Packing`), and is decoded on first read: `rows(m)` in lex order,
+    order (`_Packing`), and is decoded on every read: `rows(m)` in lex order,
     `slice(m)` as a frozenset, `slices` every degree's.  Semigroups compare by
     content, whatever their packings."""
 
@@ -76,7 +75,7 @@ class GradedSemigroup:
         if packed[0] != [0]:
             raise ValidationError("degree-0 slice must be exactly the origin")
         self.dim, self.max_degree, self.generators = dim, max_degree, generators
-        self._packing, self._packed, self._rows, self._frozen = packing, packed, {}, {}
+        self._packing, self._packed = packing, packed
 
     def __eq__(self, other):
         return isinstance(other, GradedSemigroup) and (self.generators, self.slices) == (
@@ -87,18 +86,14 @@ class GradedSemigroup:
 
     def rows(self, m: int) -> tuple:
         """The slice of degree m, its vectors in lex order."""
-        if m not in self._rows:
-            if not 0 <= m <= self.max_degree:
-                raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
-            self._rows[m] = tuple(self._packing.unpack(self._packed[m]))
-        return self._rows[m]
+        if not 0 <= m <= self.max_degree:
+            raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
+        return tuple(self._packing.unpack(self._packed[m]))
 
     def slice(self, m: int) -> frozenset:
-        if m not in self._frozen:
-            self._frozen[m] = frozenset(self.rows(m))
-        return self._frozen[m]
+        return frozenset(self.rows(m))
 
-    @cached_property
+    @property
     def slices(self) -> tuple:
         return tuple(map(self.slice, range(self.max_degree + 1)))
 

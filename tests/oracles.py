@@ -119,12 +119,12 @@ def oracle_spair_counts(gamma):
     def minus(v, *points):
         return tuple(c - sum(p[i] for p in points) for i, c in enumerate(v))
 
-    counts = {}
+    counts, slices = {}, gamma.slices  # decoded once: each read decodes anew
     for m in range(2, gamma.max_degree + 1):
         total = 0
-        for v in gamma.slices[m]:
+        for v in slices[m]:
             members = [(d, u) for d, u in gamma.generators
-                       if d < m and minus(v, u) in gamma.slices[m - d]]
+                       if d < m and minus(v, u) in slices[m - d]]
             unseen, components = set(range(len(members))), 0
             while unseen:
                 components += 1
@@ -133,7 +133,7 @@ def oracle_spair_counts(gamma):
                     di, ui = members[stack.pop()]
                     for j in list(unseen):
                         dj, uj = members[j]
-                        if di + dj <= m and minus(v, ui, uj) in gamma.slices[m - di - dj]:
+                        if di + dj <= m and minus(v, ui, uj) in slices[m - di - dj]:
                             unseen.remove(j)
                             stack.append(j)
             total += max(components - 1, 0)

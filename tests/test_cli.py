@@ -1,14 +1,19 @@
 """Command line behavior: payloads, determinism, exit codes, file input."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import okv
 from okv import cli, jobs, polytopes, semigroups
@@ -814,3 +819,114 @@ def test_text_format_keeps_relations_apart(capsys):
     starts = [block[i + 1] for i, line in enumerate(block) if line == "-"]
     assert starts == [f"poly: {rel['poly']}" for rel in relations]
     assert block[2:5] == ["degree:", str(relations[0]["degree"][0]), str(relations[0]["degree"][1])]
+
+
+# ---------------------------------------------------------------------------
+# Front-end fuzzing: random job files through every command.
+
+FUZZ_COMMANDS = [["nu"], ["body"], ["semigroup"], ["degenerate"],
+                 *(["check", what] for what in cli.CHECKS)]
+
+_POLYS = {  # sections in the first one, two or three of x, y, z
+    1: ["1", "x", "x^2", "x^3 + x", "2*x - 1/3", "x^5"],
+    2: ["1", "x", "y", "x*y", "y + x*y^3", "x^2 - y", "1/2*x + 3*y", "-5*x*y^2 + 7",
+        "(x + y)^2"],
+    3: ["1", "x", "y", "z", "x*z", "y*z", "x^2*z + x*y", "x*y*z + y^2", "x + 2*z"],
+}
+_SMALL = st.integers(1, 3)
+# malformed values: wrong types, out of range, the integers 0, -1 and 2**64
+# where a small positive one is meant, and sections that do not parse
+_BAD_DEGREE = st.sampled_from([0, -1, 2**64, True, "3", None, 1.5])
+_MALFORMED = {
+    "field": st.sampled_from([{"Fp": 2}, {"Fp": 4}, {"Fp": 1}, {"Fp": 2**64}, {"Fp": True},
+                              {"Fp": "7"}, {"Fq": 7}, "R", [], None]),
+    "variables": st.sampled_from([["x", "x"], [""], [], "x", [1, 2], None, ["y", "x"]]),
+    "sections": st.sampled_from([["x +"], ["x^-1"], ["w"], ["x/0"], [""], ["x - x", "x"],
+                                 ["0"], ["(x + y)^400"], "x", None, [[]], []]),
+    "semigroup_generators": st.sampled_from([[[0, 1]], [[1, -1]], [[1]], [], [[1, "a"]],
+                                             [[1, True]], [[1, 2**64]], [[1, 0], [1, 0, 0]],
+                                             "x", [1, 2]]),
+    "max_degree": _BAD_DEGREE,
+    "relation_degree": _BAD_DEGREE,
+    "cap_monomials": st.sampled_from([0, -1, True, "3", None, 1.5]),
+    "cap_matrix": st.sampled_from([0, -1, True, "3", None]),
+    "restriction_index": st.sampled_from([-1, 4, 2**64, True, "1"]),
+    "orders": st.sampled_from([[-1, 0], [2**64, 0], ["a"], [True], "2,0", [1, 2, 3, 4]]),
+    "subsystem": st.sampled_from([["w"], ["x +"], ["0"], "x", [], ["x^99"]]),
+    "change_of_coordinates": st.sampled_from([
+        [["1", "0"], ["1", "0"]], [["a", "0"], ["0", "1"]], [["1/0", "0"], ["0", "1"]],
+        [["1"]], "x", [[1, 0], [0, 1]], [["0"]],
+    ]),
+    "fixture": st.sampled_from(["", 3]),
+    "description": st.just(3),
+    "bogus": st.just(1),
+}
+
+
+@st.composite
+def fuzz_jobs(draw):
+    """The text of a job file.  Mostly a JSON object: a valid job on
+    polynomial sections or abstract generators, both caps small, with up to
+    two fields then replaced by malformed values; now and then malformed
+    JSON or a JSON value that is no object."""
+    kind = draw(st.sampled_from(["sections"] * 6 + ["generators"] * 3 + ["text", "other"]))
+    if kind == "text":
+        return draw(st.sampled_from(["", "{", "[1, 2", "nan", '{"max_degree": }']))
+    if kind == "other":
+        return json.dumps(draw(st.sampled_from([[], 3, "job", None, [{"max_degree": 1}]])))
+    job = {
+        "field": draw(st.sampled_from(["Q", "Q", {"Fp": 7}, {"Fp": 32003}])),
+        "max_degree": draw(_SMALL),
+        "cap_monomials": draw(st.integers(1, 2000)),
+        "cap_matrix": draw(st.integers(1, 20000)),
+    }
+    if draw(st.booleans()):
+        job["relation_degree"] = draw(_SMALL)
+    if kind == "generators":
+        dim = draw(st.integers(1, 2))
+        row = st.tuples(st.integers(1, 2), *[st.integers(0, 5)] * dim).map(list)
+        job["semigroup_generators"] = draw(st.lists(row, min_size=1, max_size=5))
+    else:
+        n = draw(st.integers(1, 3))
+        polys = st.sampled_from(_POLYS[n])
+        job["variables"] = ["x", "y", "z"][:n]
+        job["sections"] = draw(st.lists(polys, min_size=1, max_size=5))
+        job["restriction_index"] = draw(st.integers(0, n))
+        job["orders"] = draw(st.lists(st.integers(0, 2), max_size=n))
+        if draw(st.booleans()):  # mostly a subsystem of the sections
+            job["subsystem"] = draw(st.lists(st.sampled_from(job["sections"]) | polys,
+                                             min_size=1, max_size=3))
+        if draw(st.booleans()):  # singular now and then
+            entry = st.integers(-2, 2).map(str)
+            job["change_of_coordinates"] = draw(st.lists(
+                st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for key in draw(st.lists(st.sampled_from(sorted(_MALFORMED)), max_size=2)):
+        job[key] = draw(_MALFORMED[key])
+    return json.dumps(job)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_jobs(), st.sampled_from(["json", "text"]))
+def test_random_job_files_exit_cleanly(text, form):
+    """Every command on a random job file exits 0, 1 or 2.  Exit 0 prints a
+    report (JSON unless the text format is asked for) and nothing on
+    standard error; exits 1 and 2 print nothing on standard output and one
+    `error: ` line on standard error.  Both caps stay small, so every job
+    ends in a moment."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "job.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--input", path, "--format", form])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2), (command, text, err)
+            if code == 0:
+                assert out.endswith("\n") and not err
+                if form == "json":
+                    json.loads(out)
+            else:
+                assert not out
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err

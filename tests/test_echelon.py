@@ -33,11 +33,13 @@ from okv.echelon import Echelon, nullspace
 from okv.errors import InvariantError, ResourceCapError
 from okv.fields import QQ, PrimeField
 from okv.jobs import fixture_names, jobspec_from_dict, jobspec_to_dict, load_fixture
-from okv.polynomials import Polynomial
+from okv.polynomials import Polynomial, parse_polynomial
 from okv.semigroups import build_gamma, gamma_from_generators
+from okv.spaces import reduce_to_basis
 
 from test_degeneration import abstract_generator_sets
 from test_report_digests import JOB_EDITS
+from test_subduction import section_spaces
 from oracles import (
     _dense_degree,
     _dense_degree_exponents,
@@ -139,13 +141,22 @@ def assert_int_rows_match_oracle(rows, ncols):
     assert all(type(v) is int for w in got for v in w.values())
     for vector in rows + [primitive(k) for k in kernel]:
         residue = sparse(dense_reduce_against(map(Fraction, vector), expected, pivots))
-        left = form.reduce(sparse(vector))
-        assert left.keys() == residue.keys()
-        assert len({Fraction(v) / residue[j] for j, v in left.items()}) <= 1
-        assert all(v * residue[j] > 0 for j, v in left.items())
+        assert_positive_int_multiple(form.reduce(sparse(vector)), residue)
+
+
+def assert_positive_int_multiple(left, residue):
+    """`left` holds ints and is one positive multiple of the oracle's residue."""
+    assert left.keys() == residue.keys()
+    assert all(type(v) is int for v in left.values())
+    assert len({Fraction(v) / residue[j] for j, v in left.items()}) <= 1
+    assert all(v * residue[j] > 0 for j, v in left.items())
 
 
 def assert_matches_oracle(field, rows, ncols):
+    """The dense adapters equal the oracle exactly.  Over F_32003 so do the
+    engine's kernel vectors and residues; over Q a kernel vector is the
+    primitive multiple of the oracle's and a residue a positive multiple,
+    both in ints, as for int rows."""
     if field is int:
         return assert_int_rows_match_oracle(rows, ncols)
     expected, pivots = dense_rref(rows, ncols)
@@ -160,10 +171,15 @@ def assert_matches_oracle(field, rows, ncols):
     assert form.terms == sum(len(sparse(r)) for r in expected)
     kernel = dense_nullspace(rows, ncols, field.one)
     assert linalg.nullspace(rows, ncols, field.one) == kernel
-    assert nullspace([sparse(r) for r in rows], ncols, field.one) == [sparse(r) for r in kernel]
+    got = nullspace([sparse(r) for r in rows], ncols, 1 if field is QQ else field.one)
+    assert got == [sparse(primitive(k) if field is QQ else k) for k in kernel]
     for vector in rows + kernel:
-        residue = dense_reduce_against(vector, expected, pivots)
-        assert form.reduce(sparse(vector)) == sparse(residue)
+        residue = sparse(dense_reduce_against(vector, expected, pivots))
+        left = form.reduce(sparse(vector))
+        if field is QQ:
+            assert_positive_int_multiple(left, residue)
+        else:
+            assert left == residue
     if field is QQ and rows:
         rhs = [field(i + 1) for i in range(len(rows))]
         assert linalg.solve_unique(rows, rhs) == solve_exact(rows, rhs)
@@ -200,7 +216,7 @@ def test_engine_matches_dense_oracle(case):
 
 def test_nullspace_cap_trips_before_the_basis():
     with pytest.raises(ResourceCapError, match="kernel basis too large: 3x3 > 8"):
-        nullspace([], 3, Fraction(1), max_cells=8)
+        nullspace([], 3, 1, max_cells=8)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,26 @@ def test_kernel_and_flatness_match_dense_path(name, field):
            for r in report.rows]
     assert got == rows
     assert report.binomial_initial == binomial
+
+
+# a lift with denominator 2 and a relation whose primitive pivot entry is not one
+HALF_LIFT = reduce_to_basis([parse_polynomial(s, ("x", "y"))
+                             for s in ("2*y + x*y", "x", "x^2*y^2", "x^3*y")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(section_spaces())
+@example((HALF_LIFT, 2))
+def test_kernel_of_random_rational_lifts_matches_dense_path(case):
+    """Random section spaces, whose coefficients 1, -1, 2, 3, -5, 7 put
+    denominators into the reduced basis and the lifts, presented at degree 2:
+    the kernel pass to degree 3 equals the dense path, and so does the same
+    presentation read in F_32003 when the space is over Q."""
+    space, _ = case
+    pres = build_presentation(space, 2)
+    for p in [pres] + ([over_prime_field(pres)] if pres.field is QQ else []):
+        kernel = kernel_ideal_truncated(p, 3)
+        assert [(r.poly, r.degree) for r in kernel.relations] == dense_kernel_relations(p, 3)
 
 
 def test_kernel_cap_trips_before_evaluating_the_degree(monkeypatch):
