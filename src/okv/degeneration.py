@@ -465,41 +465,53 @@ def kernel_ideal_truncated(
 # ---------------------------------------------------------------------------
 # Initial forms and the Rees family.
 
-def initial_form(poly: Polynomial, presentation: Presentation, pi: WeightVector) -> Polynomial:
-    """Sum of the terms of maximal total weight under the generator weights."""
+def generator_weights(presentation: Presentation, pi: WeightVector) -> tuple[int, ...]:
+    """The weight under pi of each generator's degree."""
+    return tuple(pi.weight(g.degree) for g in presentation.generators)
+
+
+def _initial_form(poly: Polynomial, weights) -> tuple[Polynomial, list[int], int]:
+    """The initial form of poly under the generator weights, the total weight
+    of each of its terms, in term order, and the largest of them."""
     if poly.is_zero:
         raise ValidationError("the zero relation has no initial form")
-    weights = [pi.weight(g.degree) for g in presentation.generators]
-    term_weight = {
-        exp: sum(a * w for a, w in zip(exp, weights)) for exp, _ in poly.terms
-    }
-    top = max(term_weight.values())
-    kept = {exp: c for exp, c in poly.terms if term_weight[exp] == top}
-    return Polynomial.from_dict(poly.variables, kept)
+    term_weights = [sum(a * w for a, w in zip(exp, weights)) for exp, _ in poly.terms]
+    top = max(term_weights)
+    # a subsequence of sorted terms is sorted
+    kept = tuple(t for t, w in zip(poly.terms, term_weights) if w == top)
+    return Polynomial(poly.variables, kept), term_weights, top
+
+
+def initial_form(poly: Polynomial, presentation: Presentation, pi: WeightVector) -> Polynomial:
+    """Sum of the terms of maximal total weight under the generator weights."""
+    return _initial_form(poly, generator_weights(presentation, pi))[0]
 
 
 def rees_relations(
     relation_set: RelationSet,
     presentation: Presentation,
     pi: WeightVector,
+    weights: tuple[int, ...] | None = None,
 ) -> RelationSet:
     """Homogenize each relation into the one-parameter family equation.
 
     Every term receives the parameter raised to the weight deficit against
     the initial form, so setting the parameter to one recovers the relation
-    and setting it to zero leaves the initial form.
+    and setting it to zero leaves the initial form.  `weights` are the
+    generator weights under pi (`generator_weights`), computed here if not
+    given; one pass over a relation's terms gives its initial form and its
+    family equation.
     """
-    weights = [pi.weight(g.degree) for g in presentation.generators]
-    labels = presentation.labels
-    rees_vars = labels + (REES_PARAMETER,)
+    if weights is None:
+        weights = generator_weights(presentation, pi)
+    rees_vars = presentation.labels + (REES_PARAMETER,)
     enriched = []
     for rel in relation_set.relations:
-        bar = initial_form(rel.poly, presentation, pi)
-        top = sum(a * w for a, w in zip(bar.terms[0][0], weights))
-        # top is the largest term weight (initial_form): no deficit is negative
-        deficits = {exp + (top - sum(a * w for a, w in zip(exp, weights)),): c
-                    for exp, c in rel.poly.terms}
-        rees = Polynomial.from_dict(rees_vars, deficits)
+        bar, term_weights, top = _initial_form(rel.poly, weights)
+        # top is the largest term weight, so no deficit is negative; appending
+        # it to distinct sorted exponents keeps them sorted
+        rees = Polynomial(rees_vars, tuple(
+            (exp + (top - w,), c) for (exp, c), w in zip(rel.poly.terms, term_weights)))
         enriched.append(Relation(rel.poly, rel.degree, bar, top, rees))
     return relation_set._replace(relations=tuple(enriched))
 
@@ -616,9 +628,9 @@ def run_degeneration(
 ) -> DegenerationReport:
     kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap)
     pi = weight_vector_for(presentation, kernel)
-    enriched = rees_relations(kernel, presentation, pi)
+    weights = generator_weights(presentation, pi)
+    enriched = rees_relations(kernel, presentation, pi, weights)
     flatness = flatness_report(presentation, enriched, gamma, matrix_cap)
-    weights = tuple(pi.weight(g.degree) for g in presentation.generators)
     return DegenerationReport(presentation, pi, weights, enriched, flatness, gamma)
 
 

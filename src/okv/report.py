@@ -2,7 +2,11 @@
 
 Rationals are rendered as strings like "3/2" with no floating point
 anywhere; collections are sorted, so identical inputs yield identical
-bytes.
+bytes.  A report is plain JSON data except for a semigroup's slices, a
+`Slices` value: iterated, it gives each degree's rows, which is how
+`render_text` and `json.dumps(report, indent=2, default=list)` read it, and
+`to_json` writes it from the coordinate streams of the packed slices, each
+distinct coordinate value turned into text once.
 """
 
 from __future__ import annotations
@@ -49,11 +53,24 @@ def polytope_dict(poly: RationalPolytope) -> dict:
     }
 
 
+class Slices:
+    """The slices of a semigroup as a report value: iterating gives each
+    degree's rows, `gamma.rows(m)`, in lex order."""
+
+    __slots__ = ("gamma",)
+
+    def __init__(self, gamma: GradedSemigroup):
+        self.gamma = gamma
+
+    def __iter__(self):
+        return map(self.gamma.rows, range(self.gamma.max_degree + 1))
+
+
 def semigroup_dict(gamma: GradedSemigroup) -> dict:
     return {
         "dim": gamma.dim,
         "max_degree": gamma.max_degree,
-        "slices": [gamma.rows(m) for m in range(gamma.max_degree + 1)],
+        "slices": Slices(gamma),
         "hilbert": hilbert_counts(gamma),
     }
 
@@ -151,12 +168,15 @@ def _block(value) -> bool:
 
 def render_text(data, indent: int = 0) -> str:
     """Plain-text rendering of a report value (what `to_json` accepts); a tuple
-    renders as the list of its items, and a "-" line opens each block in a list."""
+    or `Slices` renders as the list of its items, and a "-" line opens each
+    block in a list."""
     pad = "  " * indent
     lines = []
+    if isinstance(data, Slices):
+        data = tuple(data)
     if isinstance(data, dict):
         for key, value in data.items():
-            if isinstance(value, (dict, list, tuple)):
+            if isinstance(value, (dict, list, tuple, Slices)):
                 lines.append(f"{pad}{key}:")
                 lines.append(render_text(value, indent + 1))
             else:
@@ -174,33 +194,53 @@ def render_text(data, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _row_width(rows) -> int:
-    """The common length of `rows`, tuples all, when it is non-zero and every
-    item of every row is an int (not a bool), else 0."""
-    lengths = set(map(len, rows))
-    if len(lengths) != 1 or set(map(type, chain.from_iterable(rows))) != {int}:
-        return 0
-    return lengths.pop()
+class _Texts(dict):
+    """The text of each int a coordinate takes, `head` + decimal + `tail`,
+    made when the int is first looked up."""
+
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: str, tail: str):
+        self.head, self.tail = head, tail
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.head + int.__repr__(value) + self.tail
+        return text
+
+
+def _slices_json(gamma: GradedSemigroup, pad: str) -> str:
+    """The slices of `gamma` as `to_json` writes their rows, from the coordinate
+    streams: each coordinate has a text table, shared by all degrees, holding
+    its separator, its decimal and, on the last coordinate, the closing
+    bracket of the row, and a degree is the join of its rows' texts."""
+    inner, row, item = pad + "  ", pad + "    ", pad + "      "
+    tables = [_Texts("," + item, "") for _ in range(gamma.dim)]
+    if tables:
+        tables[0].head = "," + row + "[" + item
+        tables[-1].tail = row + "]"
+    degrees = []
+    for m in range(gamma.max_degree + 1):
+        columns = [map(t.__getitem__, c) for t, c in zip(tables, gamma.columns(m))]
+        texts = chain.from_iterable(zip(*columns))
+        first = next(texts, None)
+        if first is None:  # an empty slice, or dimension 0
+            degrees.append(to_json(gamma.rows(m), inner))
+        else:  # the first row takes no separating comma
+            degrees.append("".join(chain(("[", first[1:]), texts, (inner, "]"))))
+    return "[" + inner + ("," + inner).join(degrees) + pad + "]"
 
 
 def to_json(value, pad: str = "\n") -> str:
     """The text `json.dumps` gives with `indent=2`, byte for byte, for the values
-    a report holds: str, int, bool, None, and lists, tuples and str-keyed dicts
-    of them; anything else raises TypeError.  `pad` goes before a closing bracket.
-    A list or tuple of int tuples of one non-zero length, such as a semigroup
-    slice, is written by one `%d` template for all its rows, applied once to
-    their chained items, with the same bytes."""
+    a report holds: str, int, bool, None, `Slices`, and lists, tuples and
+    str-keyed dicts of them; anything else raises TypeError.  `pad` goes before
+    a closing bracket.  `Slices` is written as the list of its rows would be,
+    from the packed slices in one pass (`_slices_json`): no row is built."""
     kind = type(value)
     if kind is list or kind is tuple:
         inner, ends = pad + "  ", "[]"
-        types = set(map(type, value))
-        if types == {int}:
+        if set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
-        elif types == {tuple} and (width := _row_width(value)):
-            row = inner + "  "
-            template = "[" + row + ("," + row).join(["%d"] * width) + inner + "]"
-            rows = ("," + inner).join([template] * len(value))
-            return "[" + inner + rows % tuple(chain.from_iterable(value)) + pad + "]"
         else:
             items = [to_json(v, inner) for v in value]
     elif kind is dict:
@@ -214,6 +254,8 @@ def to_json(value, pad: str = "\n") -> str:
         return "true" if value else "false"
     elif value is None:
         return "null"
+    elif kind is Slices:
+        return _slices_json(value.gamma, pad)
     else:
         raise TypeError(f"not a report value: {value!r}")
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if value else ends

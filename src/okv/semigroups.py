@@ -38,7 +38,8 @@ generator of lower degree reaches it.  A fibre splits only if its least
 generator's group (it and those it meets) is not the whole fibre; that group
 seeds the closure that grows its component, and only a split fibre grows
 the others, in the order of their least generator.  Slices stay packed,
-sorted as ints (lex order), until a reader decodes one.  The same products,
+sorted as ints (lex order), until a reader decodes one, as rows or as one int
+stream per coordinate (`GradedSemigroup.columns`).  The same products,
 tail-reduced and divided by their lead once, give each generator its
 canonical lift, the element of V^m's reduced basis it leads.
 """
@@ -66,6 +67,7 @@ class GradedSemigroup:
     their minimal generators sorted by (degree, value), which the builder
     fills in.  Each degree comes as its packed ints sorted as ints, which is lex
     order (`_Packing`), and is decoded on every read: `rows(m)` in lex order,
+    `columns(m)` as one int stream per coordinate in the same order,
     `slice(m)` as a frozenset, `slices` every degree's.  Semigroups compare by
     content, whatever their packings."""
 
@@ -84,11 +86,19 @@ class GradedSemigroup:
     def __hash__(self):
         return hash(self.generators)
 
-    def rows(self, m: int) -> tuple:
-        """The slice of degree m, its vectors in lex order."""
+    def _ints(self, m: int) -> list:
         if not 0 <= m <= self.max_degree:
             raise ValidationError(f"degree {m} outside truncation bound {self.max_degree}")
-        return tuple(self._packing.unpack(self._packed[m]))
+        return self._packed[m]
+
+    def rows(self, m: int) -> tuple:
+        """The slice of degree m, its vectors in lex order."""
+        return tuple(self._packing.unpack(self._ints(m)))
+
+    def columns(self, m: int) -> list:
+        """The slice of degree m as one lazy stream of ints per coordinate, its
+        vectors in lex order: the i-th stream yields the i-th coordinates."""
+        return self._packing.columns(self._ints(m))
 
     def slice(self, m: int) -> frozenset:
         return frozenset(self.rows(m))
@@ -102,8 +112,9 @@ class _Packing:
     """Value vectors with every |coordinate| <= bound as single ints: u becomes
     sum_i u_i * B^(d-1-i) with B = 2*bound + 1, balanced base-B digits.  Vector
     addition is int addition, and lex order is int order.  `pack` takes one
-    vector.  `unpack` takes a collection of packed ints (a set, dict or list,
-    read once per coordinate) and streams their vectors in its order."""
+    vector.  `columns` takes a collection of packed ints (a set, dict or list,
+    read once per coordinate) and gives one lazy stream of ints per coordinate,
+    in its order; `unpack` zips them into vectors."""
 
     def __init__(self, dim: int, bound: int):
         self.dim, self.bound, self.base = dim, bound, 2 * bound + 1
@@ -114,9 +125,9 @@ class _Packing:
             packed = packed * self.base + c
         return packed
 
-    def unpack(self, points):
+    def columns(self, points) -> list:
         if not self.dim:
-            return repeat((), len(points))
+            return []
         base, top = self.base, self.base ** (self.dim - 1)
         # adding (B^k - 1)/2 = sum_{i<k} bound * B^i moves the k lowest digits
         # into [0, B): with k = d - 1 the quotient by B^k is the first
@@ -128,7 +139,10 @@ class _Packing:
             if k:
                 digits = map((base**k).__rfloordiv__, digits)
             columns.append(map(down, map(base.__rmod__, digits)))
-        return zip(*columns)
+        return columns
+
+    def unpack(self, points):
+        return zip(*self.columns(points)) if self.dim else repeat((), len(points))
 
     def unpack_graded(self, pairs: list):
         """(m, vector) for each (m, packed int) of a list, streamed."""
@@ -183,9 +197,12 @@ class Subduction:
     to a primitive integer polynomial, and every product of generators is
     then primitive with a positive lead (Gauss's lemma).  Products of
     generators are memoised per (degree, value), along the first generator
-    that reaches each value.  `cap_monomials` bounds the sumset
-    candidates of each degree and the terms of the memoised products, of
-    every subduction remainder and of every lift, before they are formed.
+    that reaches each value.  The first `semigroup(M)` packs the scaled basis
+    with bound 2 * max(M, 1) * E, E the largest exponent coordinate in V, and
+    a later call whose M * E outgrows the bound repacks.  `cap_monomials`
+    bounds the sumset candidates of each degree and the terms of the memoised
+    products, of every subduction remainder and of every lift, before they
+    are formed.
     """
 
     def __init__(self, space: SectionSpace, cap_monomials: int = DEFAULT_MONOMIAL_CAP):
@@ -195,27 +212,31 @@ class Subduction:
         # every value of degree m is an exponent of V^m, so its coordinates
         # are at most m times the largest exponent coordinate in V, if any
         self.extent = max([1, *(c for p in space.basis for e, _ in p.terms for c in e)])
-        self.packing = _Packing(self.dim, self.extent)
         one = polynomial_field(space.basis[0]).one
         if len(nu_image(space)) < space.dimension or any(
             p.terms[0][1] != one for p in space.basis
         ):
             raise ValidationError("subduction needs a basis with distinct monic pivots")
-        self.gens, self.polys, self.products, self.terms = [], [], {}, 0
-        self.slices, self.ordered = [{0: 0}, {}], []
+        self.basis = []
         for p in space.basis:
             if Fraction in {type(c) for _, c in p.terms}:  # monic, so primitive once scaled
                 row = dict(p.terms)
                 integral(row)
                 p = Polynomial(p.variables, tuple(row.items()))
-            self._add_generator(1, self.packing.pack(nu(p)), p)
+            self.basis.append(p)
+        self.packing, self.gens, self.polys, self.products, self.terms = None, [], [], {}, 0
+        self.slices, self.ordered = [{0: 0}, {}], []
 
     def semigroup(self, max_degree: int) -> GradedSemigroup:
         """Gamma truncated at `max_degree`, with its minimal generators."""
         if max_degree < 0:
             raise ValidationError("truncation degree must be non-negative")
         check_cap(max_degree, self.cap, DEGREES_CAP)
-        if max_degree * self.extent > self.packing.bound:
+        if self.packing is None:  # the degree-one state, packed once for this bound
+            self.packing = _Packing(self.dim, 2 * max(max_degree, 1) * self.extent)
+            for p in self.basis:
+                self._add_generator(1, self.packing.pack(nu(p)), p)
+        elif max_degree * self.extent > self.packing.bound:
             self._repack(_Packing(self.dim, 2 * max_degree * self.extent))
         for m in range(len(self.slices), max_degree + 1):
             self._degree(m)

@@ -338,5 +338,5 @@ def test_criterion_11_invariant_suites():
         for b in range(1, 4 - a):
             assert sumset(gamma.slice(a), gamma.slice(b)) <= set(gamma.slice(a + b))
 
-    blobs = {json.dumps(run("semigroup", job)) for _ in range(3)}
+    blobs = {json.dumps(run("semigroup", job), default=list) for _ in range(3)}
     assert len(blobs) == 1

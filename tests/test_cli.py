@@ -66,10 +66,9 @@ def test_body_elliptic_good(capsys):
 def test_body_decodes_no_slice(capsys, monkeypatch):
     """`body` reads the minimal generators and no slice of Gamma: on
     bott-samelson-m to degree 10 (9,911 slice points) okv decodes its 13
-    generators, and before that only the degree-one state it repacks for the
-    truncation bound (13 generator values, the origin, the degree-1 slice and
-    13 memoised products).  The report is the one the slice-decoding path
-    wrote."""
+    generators and nothing else, since the degree-one state is packed once,
+    for the truncation bound, and never repacked.  The report is the one the
+    slice-decoding path wrote."""
     sizes = []
     unpack = semigroups._Packing.unpack
 
@@ -80,7 +79,7 @@ def test_body_decodes_no_slice(capsys, monkeypatch):
     monkeypatch.setattr(semigroups._Packing, "unpack", counting_unpack)
     code, out, _ = run_main(capsys, "body", "--fixture", "bott-samelson-m", "--max-degree", "10")
     assert code == 0
-    assert sizes == [13, 1, 13, 13, 13]
+    assert sizes == [13]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "04e3581ff8a2f0b516c49f7d088c219be2ab7de67720ff0f9cb6af6baa59d73e"
     )

@@ -8,14 +8,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okv.cli import run
 from okv.jobs import load_fixture
 from okv.polynomials import Polynomial, parse_polynomial
 from okv.polytopes import convex_hull
-from okv.report import render_text, scalar_str, to_json
+from okv.report import Slices, render_text, scalar_str, to_json
 from okv.semigroups import (
     GradedSemigroup,
     _Packing,
@@ -27,6 +27,7 @@ from okv.spaces import product_space, reduce_to_basis
 from okv.valuation import nu, nu_image
 
 from oracles import nu_prefix_image, oracle_in_hull, oracle_unpack, sumset
+from test_subduction import section_spaces
 
 VARS2 = ("x", "y")
 
@@ -152,11 +153,12 @@ def test_random_points_classified_identically_by_both_representations():
 def test_repeated_runs_byte_identical():
     job = load_fixture("counterexample-p1xp1")
     blobs = {
-        json.dumps(run("semigroup", job), sort_keys=False) for _ in range(3)
+        json.dumps(run("semigroup", job), sort_keys=False, default=list) for _ in range(3)
     }
     assert len(blobs) == 1
     job2 = load_fixture("elliptic-good")
-    blobs2 = {json.dumps(run("degenerate", job2), sort_keys=False) for _ in range(3)}
+    blobs2 = {json.dumps(run("degenerate", job2), sort_keys=False, default=list)
+              for _ in range(3)}
     assert len(blobs2) == 1
 
 
@@ -240,8 +242,9 @@ def _list_or_tuple(rows):
     return rows | rows.map(tuple)
 
 
-# Lists of int tuples of one non-zero length, the shape of a semigroup slice,
-# which `to_json` writes one row template per item.
+# Lists of int tuples of one non-zero length, the shape of a normality check's
+# `missing` points or a valuation image, which `to_json` writes by its general
+# path (a semigroup's slices are a `Slices` value, tested apart).
 int_rows = _list_or_tuple(st.integers(1, 4).flatmap(
     lambda n: st.lists(st.tuples(*[big_ints] * n), min_size=1, max_size=5)
 ))
@@ -302,3 +305,52 @@ def test_render_text_treats_a_tuple_as_a_list(report):
 def test_to_json_rejects_what_a_report_never_holds(value):
     with pytest.raises(TypeError):
         to_json(value)
+
+
+@st.composite
+def abstract_semigroups(draw):
+    """Semigroups of up to four generators of degree 1 to 3, to degree 0 to 4,
+    in dimension 0 to 3, with coordinates in -4..4 or near +-10**6 (a wide
+    packing); slice 1 is empty when every generator has degree 2 or more."""
+    dim = draw(st.integers(0, 3))
+    coordinate = st.integers(-4, 4) | st.sampled_from([10**6, 10**6 - 1, -(10**6), 1 - 10**6])
+    gens = draw(st.lists(st.tuples(st.integers(1, 3), st.tuples(*[coordinate] * dim)),
+                         max_size=4))
+    return gamma_from_generators(gens, draw(st.integers(0, 4)), dim)
+
+
+def assert_slices_written_as_rows(gamma):
+    rows = [list(r) for r in Slices(gamma)]
+    assert to_json({"s": Slices(gamma)}) == json.dumps({"s": rows}, indent=2)
+    assert render_text({"s": Slices(gamma)}) == render_text({"s": rows})
+
+
+@given(abstract_semigroups())
+@example(gamma_from_generators([], 2, 0))
+@example(gamma_from_generators([(1, ())], 2, 0))
+@example(gamma_from_generators([(2, (-1,)), (3, (4,))], 4))
+@example(gamma_from_generators([(1, (10**6, -(10**6))), (2, (-3, 10**6 - 1))], 3))
+def test_slices_are_written_as_their_rows(gamma):
+    """`to_json` writes a `Slices` value from the packed slices; the bytes are
+    those `json.dumps` gives for the list of its rows."""
+    assert_slices_written_as_rows(gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(section_spaces())
+def test_subduction_slices_are_written_as_their_rows(case):
+    space, max_degree = case
+    assert_slices_written_as_rows(build_gamma(space, max_degree))
+
+
+@pytest.mark.parametrize("command, what, fixture", [
+    ("nu", None, "counterexample-p1xp1"),
+    ("body", None, "bott-samelson-m"),
+    ("semigroup", None, "counterexample-p1xp1"),
+    ("semigroup", None, "abelian-trapezoid"),
+    ("degenerate", None, "elliptic-good"),
+    ("check", "normality", "counterexample-p1xp1"),
+])
+def test_cli_report_json_is_json_dumps_with_default_list(command, what, fixture):
+    report = run(command, load_fixture(fixture), what)
+    assert to_json(report) == json.dumps(report, indent=2, default=list)
