@@ -491,19 +491,15 @@ def rees_relations(
     relation_set: RelationSet,
     presentation: Presentation,
     pi: WeightVector,
-    weights: tuple[int, ...] | None = None,
 ) -> RelationSet:
     """Homogenize each relation into the one-parameter family equation.
 
     Every term receives the parameter raised to the weight deficit against
     the initial form, so setting the parameter to one recovers the relation
-    and setting it to zero leaves the initial form.  `weights` are the
-    generator weights under pi (`generator_weights`), computed here if not
-    given; one pass over a relation's terms gives its initial form and its
-    family equation.
+    and setting it to zero leaves the initial form.  One pass over a
+    relation's terms gives its initial form and its family equation.
     """
-    if weights is None:
-        weights = generator_weights(presentation, pi)
+    weights = generator_weights(presentation, pi)
     rees_vars = presentation.labels + (REES_PARAMETER,)
     enriched = []
     for rel in relation_set.relations:
@@ -628,9 +624,9 @@ def run_degeneration(
 ) -> DegenerationReport:
     kernel = kernel_ideal_truncated(presentation, relation_degree, matrix_cap)
     pi = weight_vector_for(presentation, kernel)
-    weights = generator_weights(presentation, pi)
-    enriched = rees_relations(kernel, presentation, pi, weights)
+    enriched = rees_relations(kernel, presentation, pi)
     flatness = flatness_report(presentation, enriched, gamma, matrix_cap)
+    weights = generator_weights(presentation, pi)
     return DegenerationReport(presentation, pi, weights, enriched, flatness, gamma)
 
 

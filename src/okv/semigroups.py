@@ -328,7 +328,10 @@ class Subduction:
         """The lift of the generator (m, u): the product of value u, tail-reduced
         in ascending order against the slice of degree m, which leaves V^m's
         reduced-basis element with lead u (0 at every other point of the slice),
-        divided by its lead once."""
+        divided by its lead once.  The slice of degree m must have been built
+        by `semigroup`."""
+        if not 1 <= m < len(self.ordered):
+            raise ValidationError(f"lift of degree {m} before semigroup({m}) has built its slice")
         pack, current = self.packing.pack, self.slices[m]
         f, w = dict(self._product(m, pack(u)).terms), u
         while True:

@@ -221,6 +221,18 @@ def test_lift_charges_the_monomial_cap():
             ring.lift(m, u)
 
 
+def test_lift_needs_its_slice_built_first():
+    variables = ("x", "y")
+    space = reduce_to_basis([parse_polynomial(s, variables) for s in ("1", "x", "y")])
+    ring = Subduction(space)
+    with pytest.raises(ValidationError, match="before semigroup"):
+        ring.lift(1, (1, 0))
+    ring.semigroup(1)
+    assert ring.lift(1, (1, 0)) == parse_polynomial("x", variables)
+    with pytest.raises(ValidationError, match="before semigroup"):
+        ring.lift(2, (2, 0))
+
+
 def test_subduction_rejects_a_basis_without_distinct_monic_pivots():
     variables = ("x", "y")
     for basis in (["2*x", "y"], ["y", "y + x"]):
